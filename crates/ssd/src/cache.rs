@@ -8,9 +8,10 @@
 //! which is exactly the fig. 5 write-bandwidth ceiling and the fig. 7b GC
 //! latency cliff.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
-use ull_simkit::{SimDuration, SimTime, SplitMix64, TimingWheel};
+use ull_simkit::{SimDuration, SimTime, SplitMix64};
 
 use crate::config::ReadCachePolicy;
 
@@ -33,11 +34,13 @@ use crate::config::ReadCachePolicy;
 #[derive(Debug)]
 pub struct WriteBuffer {
     capacity: usize,
-    /// Pending slot releases ordered by program-end instant. Entries at
-    /// equal instants are interchangeable (the payload *is* the time),
-    /// so swapping the historical `BinaryHeap<Reverse<u64>>` for the
-    /// timing wheel cannot change any admit decision.
-    releases: TimingWheel<()>,
+    /// Pending slot releases (program-end instants in ns), earliest on
+    /// top. A plain min-heap rather than the timing wheel: a full buffer
+    /// holds milliseconds of program backlog, past the wheel's near
+    /// horizon, so releases would churn through its far heap anyway. The
+    /// payload *is* the instant, so equal entries are interchangeable and
+    /// no tie-break is needed.
+    releases: BinaryHeap<Reverse<u64>>,
     /// lpn -> time at which the buffered copy stops being addressable
     /// (program end); reads before that are DRAM hits. A `BTreeMap` so the
     /// periodic `sweep` retains entries in a deterministic order (S003).
@@ -55,27 +58,39 @@ impl WriteBuffer {
         assert!(capacity > 0, "write buffer needs at least one slot");
         WriteBuffer {
             capacity: capacity as usize,
-            releases: TimingWheel::new(),
+            releases: BinaryHeap::new(),
             resident: BTreeMap::new(),
             admitted: 0,
         }
     }
 
     /// Admits one unit arriving at `at`, returning the instant it actually
-    /// enters DRAM (possibly delayed by a full buffer).
+    /// enters DRAM (possibly delayed by a full buffer). Until
+    /// [`retire`](Self::retire) the buffered copy of `lpn` is resident
+    /// with no end, so [`holds`](Self::holds) answers true.
     pub fn admit(&mut self, at: SimTime, lpn: u64) -> SimTime {
+        self.resident.insert(lpn, u64::MAX); // provisional until retire()
+        self.admit_slot(at)
+    }
+
+    /// [`admit`](Self::admit) without the provisional resident entry: the
+    /// slot is claimed and the copy becomes addressable only at
+    /// [`retire`](Self::retire). Exact whenever the caller retires the
+    /// unit before any [`holds`](Self::holds) query — the periodic sweep
+    /// keeps provisional entries, and `retire` overwrites them, so the
+    /// resident map ends up the same.
+    pub fn admit_slot(&mut self, at: SimTime) -> SimTime {
         self.admitted += 1;
         // A full buffer (`len >= capacity >= 1`) always has a pending
         // release, so the else-branch of the inner `if let` is unreachable;
         // admitting immediately there is a safe, panic-free fallback.
         let admitted_at = if self.releases.len() < self.capacity {
             at
-        } else if let Some((earliest, ())) = self.releases.pop() {
-            at.max(earliest)
+        } else if let Some(Reverse(earliest)) = self.releases.pop() {
+            at.max(SimTime::from_nanos(earliest))
         } else {
             at
         };
-        self.resident.insert(lpn, u64::MAX); // provisional until retire()
         if self.admitted.is_multiple_of(4096) {
             self.sweep(admitted_at);
         }
@@ -85,8 +100,9 @@ impl WriteBuffer {
     /// Records that the unit's flash program completes at `program_end`,
     /// freeing the slot then.
     pub fn retire(&mut self, lpn: u64, program_end: SimTime) {
-        self.releases.schedule(program_end, ());
-        self.resident.insert(lpn, program_end.as_nanos());
+        let until = program_end.as_nanos();
+        self.releases.push(Reverse(until));
+        self.resident.insert(lpn, until);
     }
 
     /// Whether a read of `lpn` issued at `at` can be served from the

@@ -248,7 +248,7 @@ pub struct ConfigError {
 }
 
 impl ConfigError {
-    fn new(message: &'static str) -> Self {
+    pub(crate) fn new(message: &'static str) -> Self {
         ConfigError { message }
     }
 }

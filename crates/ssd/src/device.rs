@@ -76,11 +76,6 @@ struct FlashUnitRead {
     channel: SimDuration,
 }
 
-#[derive(Debug, Default)]
-struct RowAccum {
-    units: Vec<PendingUnit>,
-}
-
 /// Installed fault-injection state: the per-class lottery streams (forked
 /// from the plan, so the nominal-path RNGs never see an extra draw) plus
 /// the recovery accounting. Absent (`None`) unless a plan with a non-zero
@@ -125,7 +120,9 @@ pub struct Ssd {
     energy: EnergyLedger,
     metrics: SsdMetrics,
     rng: SplitMix64,
-    rows: Vec<RowAccum>,
+    /// Each lane's open program row; drained in place, so the buffers
+    /// keep their capacity across rows.
+    rows: Vec<Vec<PendingUnit>>,
     row_units: u32,
     last_activity: SimTime,
     faults: Option<SsdFaultState>,
@@ -141,7 +138,8 @@ impl Ssd {
     /// # Errors
     ///
     /// Returns the underlying [`crate::ConfigError`] when the configuration
-    /// is inconsistent.
+    /// is inconsistent, or when its flash geometry does not fit the FTL's
+    /// packed 32-bit mapping entries (see [`Ftl::fits`]).
     pub fn new(cfg: SsdConfig) -> Result<Self, crate::config::ConfigError> {
         cfg.validate()?;
         let spec: Arc<FlashSpec> = Arc::new(cfg.flash.clone());
@@ -150,17 +148,7 @@ impl Ssd {
         // to independent per-die lanes (the ablation case).
         let topo = Topology::new(cfg.channels, cfg.ways, cfg.splits_across_pair());
         let lanes = topo.lanes();
-        let units_per_block = cfg.effective_pages_per_block() * cfg.units_per_row();
-        let logical = cfg.logical_units();
-        // Physical space = logical * (1 + OP). The GC watermark lives inside
-        // the OP margin (as on real devices); a floor keeps degenerate tiny
-        // configurations functional.
-        let needed = (logical as f64 * (1.0 + cfg.overprovision)).ceil() as u64;
-        let blocks_per_lane = (needed.div_ceil(lanes as u64 * units_per_block as u64) as u32)
-            .max(cfg.gc.low_watermark + 4);
-        let blocks_per_virtual = if cfg.splits_across_pair() { 2 } else { 1 };
-        let ftl = Ftl::new(lanes, blocks_per_lane, units_per_block, cfg.gc)
-            .with_wear(cfg.wear, blocks_per_virtual);
+        let ftl = Ftl::for_device(&cfg, lanes)?;
         let rng = SplitMix64::new(cfg.seed);
         let rcache = ReadCache::new(cfg.read_cache, cfg.seed ^ 0xCACE);
         let row_units = cfg.units_per_row() * cfg.planes;
@@ -175,7 +163,7 @@ impl Ssd {
             rcache,
             energy: EnergyLedger::new(SimDuration::from_millis(10), cfg.power.idle_w),
             metrics: SsdMetrics::default(),
-            rows: (0..lanes).map(|_| RowAccum::default()).collect(),
+            rows: (0..lanes).map(|_| Vec::new()).collect(),
             row_units,
             last_activity: SimTime::ZERO,
             faults: None,
@@ -507,7 +495,14 @@ impl Ssd {
         let mut done = data_in;
         let mut gc_stalled = false;
         for u in first..first + nunits {
-            let admit = self.wbuf.admit(data_in, u);
+            // Single-unit rows are programmed and retired within this
+            // iteration, before any read can query the buffer, so the
+            // provisional resident entry would only be overwritten.
+            let admit = if self.row_units == 1 {
+                self.wbuf.admit_slot(data_in)
+            } else {
+                self.wbuf.admit(data_in, u)
+            };
             done = done.max(admit);
             let (placement, gc_work) = self.ftl.append(u);
             let lane = placement.ppa.lane;
@@ -661,24 +656,23 @@ impl Ssd {
     /// rows to flash.
     fn enqueue_drain(&mut self, lane: LaneId, unit: PendingUnit) {
         let timeout = self.cfg.row_flush_timeout;
-        let row = &mut self.rows[lane.0 as usize];
         // A stale partial row is flushed padded before the new unit joins.
-        if let Some(first) = row.units.first() {
+        if let Some(first) = self.rows[lane.0 as usize].first() {
             if unit.ready.saturating_since(first.ready) > timeout {
-                let stale = std::mem::take(&mut row.units);
-                self.flush_row(lane, stale);
+                self.flush_row(lane);
             }
         }
         let row = &mut self.rows[lane.0 as usize];
-        row.units.push(unit);
-        if row.units.len() as u32 >= self.row_units {
-            let full = std::mem::take(&mut row.units);
-            self.flush_row(lane, full);
+        row.push(unit);
+        if row.len() as u32 >= self.row_units {
+            self.flush_row(lane);
         }
     }
 
-    /// Programs one row (possibly padded) on the lane's die(s).
-    fn flush_row(&mut self, lane: LaneId, units: Vec<PendingUnit>) {
+    /// Programs the lane's open row (possibly padded) on its die(s) and
+    /// empties it, keeping the row's buffer for the next one.
+    fn flush_row(&mut self, lane: LaneId) {
+        let units = &self.rows[lane.0 as usize];
         if units.is_empty() {
             return;
         }
@@ -699,9 +693,11 @@ impl Ssd {
             self.energy.add(prog.start, program_energy);
             program_end = program_end.max(prog.end);
         }
-        for u in units {
+        let units = &mut self.rows[lane.0 as usize];
+        for u in units.iter() {
             self.wbuf.retire(u.lpn, program_end);
         }
+        units.clear();
     }
 
     /// Charges GC flash work on a lane and returns when it finishes.
@@ -739,11 +735,9 @@ impl Ssd {
     /// Flushes all partially filled program rows (e.g. at the end of a
     /// preconditioning pass), returning when the last program lands.
     pub fn flush(&mut self, at: SimTime) -> SimTime {
-        let lanes: Vec<u32> = (0..self.rows.len() as u32).collect();
         let mut end = at;
-        for l in lanes {
-            let pending = std::mem::take(&mut self.rows[l as usize].units);
-            self.flush_row(LaneId(l), pending);
+        for l in 0..self.rows.len() as u32 {
+            self.flush_row(LaneId(l));
             let (a, b) = self.topo.lane_dies(LaneId(l));
             for die_id in [Some(a), b].into_iter().flatten() {
                 end = end.max(self.dies[die_id.0 as usize].busy_until());
@@ -822,6 +816,25 @@ mod tests {
             stepped.energy().average_power(horizon).to_bits(),
             "energy ledger must be bit-identical"
         );
+    }
+
+    #[test]
+    fn oversized_geometry_is_a_config_error() {
+        // At 16 TiB the logical unit count alone reaches 2^32, past the
+        // FTL's packed u32 entries: an error, not a panic or a wrapped
+        // table size.
+        for cfg in [presets::ull_800g(), presets::nvme750()] {
+            let mut huge = cfg.clone();
+            huge.capacity_bytes = 16 << 40;
+            let err = Ssd::new(huge).expect_err(cfg.name);
+            assert!(err.to_string().contains("32-bit"), "{err}");
+            let mut no_pages = cfg.clone();
+            no_pages.pages_per_block_override = Some(0);
+            assert!(Ssd::new(no_pages).is_err(), "{}", cfg.name);
+            let mut deep_watermark = cfg.clone();
+            deep_watermark.gc.low_watermark = u32::MAX;
+            assert!(Ssd::new(deep_watermark).is_err(), "{}", cfg.name);
+        }
     }
 
     #[test]

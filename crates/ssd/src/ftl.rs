@@ -13,7 +13,7 @@
 use ull_flash::BlockState;
 use ull_simkit::SplitMix64;
 
-use crate::config::GcPolicy;
+use crate::config::{ConfigError, GcPolicy, SsdConfig};
 use crate::remap::RemapChecker;
 use crate::topology::LaneId;
 
@@ -52,6 +52,67 @@ pub struct Ppa {
     pub block: u32,
     /// 4 KB slot index within the block.
     pub slot: u32,
+}
+
+/// The `l2p` entry of an unmapped logical unit, and the `p2l` entry of a
+/// slot that holds no live unit.
+const UNMAPPED: u32 = u32::MAX;
+
+/// Bits needed to number `n` items (`0` for a single item).
+fn index_bits(n: u32) -> u32 {
+    u32::BITS - n.saturating_sub(1).leading_zeros()
+}
+
+/// Bit layout of a packed `l2p` entry: `lane | block | slot` from the high
+/// bits down, each field just wide enough for the geometry. Shifts run in
+/// `u64` so a field that fills all 32 bits never shifts by the full width.
+#[derive(Debug, Clone, Copy)]
+struct PpaPacking {
+    slot_bits: u32,
+    lane_shift: u32,
+    block_mask: u64,
+    slot_mask: u64,
+}
+
+impl PpaPacking {
+    fn new(blocks_per_lane: u32, units_per_block: u32) -> Self {
+        let slot_bits = index_bits(units_per_block);
+        let block_bits = index_bits(blocks_per_lane);
+        PpaPacking {
+            slot_bits,
+            lane_shift: slot_bits + block_bits,
+            block_mask: (1 << block_bits) - 1,
+            slot_mask: (1 << slot_bits) - 1,
+        }
+    }
+
+    /// Whether every address of the geometry packs below [`UNMAPPED`].
+    /// Then there are at most `u32::MAX` physical units, so every lpn the
+    /// FTL can map also fits a `u32` `p2l` entry below the sentinel.
+    fn fits(self, lanes: u32, blocks_per_lane: u32, units_per_block: u32) -> bool {
+        self.lane_shift + index_bits(lanes) <= u32::BITS
+            && self.pack_wide(lanes - 1, blocks_per_lane - 1, units_per_block - 1)
+                < u64::from(UNMAPPED)
+    }
+
+    fn pack_wide(self, lane: u32, block: u32, slot: u32) -> u64 {
+        u64::from(lane) << self.lane_shift | u64::from(block) << self.slot_bits | u64::from(slot)
+    }
+
+    #[inline]
+    fn pack(self, ppa: Ppa) -> u32 {
+        self.pack_wide(ppa.lane.0, ppa.block, ppa.slot) as u32
+    }
+
+    #[inline]
+    fn unpack(self, entry: u32) -> Ppa {
+        let e = u64::from(entry);
+        Ppa {
+            lane: LaneId((e >> self.lane_shift) as u32),
+            block: ((e >> self.slot_bits) & self.block_mask) as u32,
+            slot: (e & self.slot_mask) as u32,
+        }
+    }
 }
 
 /// What [`Ftl::append`] had to do to place a unit.
@@ -100,8 +161,10 @@ pub struct ProgramFailRecovery {
 #[derive(Debug)]
 struct Lane {
     blocks: Vec<BlockState>,
-    /// Reverse map: for each block, the lpn stored in each slot.
-    p2l: Vec<Vec<u64>>,
+    /// Reverse map: the lpn stored in each slot, block-major
+    /// (`block * units_per_block + slot`), [`UNMAPPED`] when empty.
+    p2l: Vec<u32>,
+    units_per_block: u32,
     free: Vec<u32>,
     /// Append point for host writes.
     open: u32,
@@ -131,9 +194,8 @@ impl Lane {
             blocks: (0..blocks)
                 .map(|_| BlockState::new(units_per_block))
                 .collect(),
-            p2l: (0..blocks)
-                .map(|_| vec![u64::MAX; units_per_block as usize])
-                .collect(),
+            p2l: vec![UNMAPPED; blocks as usize * units_per_block as usize],
+            units_per_block,
             free,
             open: 0,
             gc_open: 1,
@@ -143,6 +205,34 @@ impl Lane {
 
     fn free_blocks(&self) -> u32 {
         self.free.len() as u32
+    }
+
+    fn p2l_index(&self, block: u32, slot: u32) -> usize {
+        block as usize * self.units_per_block as usize + slot as usize
+    }
+
+    /// The lpn stored at `(block, slot)`.
+    fn reverse(&self, block: u32, slot: u32) -> u64 {
+        u64::from(self.p2l[self.p2l_index(block, slot)])
+    }
+
+    /// Records `lpn` at `(block, slot)`. The caller's lpn is below the
+    /// FTL's physical unit count, which [`PpaPacking::fits`] bounds by
+    /// `u32::MAX`, so the narrowing is lossless.
+    fn set_reverse(&mut self, block: u32, slot: u32, lpn: u64) {
+        let i = self.p2l_index(block, slot);
+        self.p2l[i] = lpn as u32;
+    }
+
+    fn clear_reverse(&mut self, block: u32, slot: u32) {
+        let i = self.p2l_index(block, slot);
+        self.p2l[i] = UNMAPPED;
+    }
+
+    /// Forgets every lpn of an erased block.
+    fn clear_block(&mut self, block: u32) {
+        let start = self.p2l_index(block, 0);
+        self.p2l[start..start + self.units_per_block as usize].fill(UNMAPPED);
     }
 
     /// Picks the fullest-of-invalid victim among closed blocks — but only
@@ -204,7 +294,9 @@ impl Lane {
 /// ```
 #[derive(Debug)]
 pub struct Ftl {
-    l2p: Vec<Option<Ppa>>,
+    /// Forward map: the packed address of each lpn, [`UNMAPPED`] if none.
+    l2p: Vec<u32>,
+    packing: PpaPacking,
     lanes: Vec<Lane>,
     units_per_block: u32,
     next_lane: u32,
@@ -229,15 +321,21 @@ impl Ftl {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or `blocks_per_lane < 4`.
+    /// Panics if any dimension is zero, `blocks_per_lane < 4`, or the
+    /// geometry does not [`fit`](Self::fits) the packed table entries.
     pub fn new(lanes: u32, blocks_per_lane: u32, units_per_block: u32, gc: GcPolicy) -> Self {
         assert!(
-            lanes > 0 && units_per_block > 0,
+            lanes > 0 && blocks_per_lane > 0 && units_per_block > 0,
             "FTL dimensions must be non-zero"
+        );
+        assert!(
+            Self::fits(lanes, blocks_per_lane, units_per_block),
+            "FTL geometry exceeds the packed 32-bit mapping entries"
         );
         let physical_units = lanes as u64 * blocks_per_lane as u64 * units_per_block as u64;
         Ftl {
-            l2p: vec![None; physical_units as usize], // sized generously; device narrows use
+            l2p: vec![UNMAPPED; physical_units as usize], // sized generously; device narrows use
+            packing: PpaPacking::new(blocks_per_lane, units_per_block),
             lanes: (0..lanes)
                 .map(|_| Lane::new(blocks_per_lane, units_per_block))
                 .collect(),
@@ -256,6 +354,61 @@ impl Ftl {
             remapped_blocks: 0,
             physical_blocks_lost: 0,
         }
+    }
+
+    /// Sizes the FTL of a device with `lanes` allocation lanes: physical
+    /// space is the logical space plus the over-provisioning margin, in
+    /// whole blocks per lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] when a block holds no units or the
+    /// geometry does not [`fit`](Self::fits) the packed table entries —
+    /// for the presets, a capacity of 16 TiB or more.
+    pub(crate) fn for_device(cfg: &SsdConfig, lanes: u32) -> Result<Ftl, ConfigError> {
+        let logical = cfg.logical_units();
+        // Physical space = logical * (1 + OP). The GC watermark lives inside
+        // the OP margin (as on real devices); a floor keeps degenerate tiny
+        // configurations functional.
+        let needed = (logical as f64 * (1.0 + cfg.overprovision)).ceil() as u64;
+        let geometry = cfg
+            .effective_pages_per_block()
+            .checked_mul(cfg.units_per_row())
+            .filter(|&units| units > 0 && lanes > 0)
+            .and_then(|units_per_block| {
+                let blocks = needed
+                    .div_ceil(u64::from(lanes) * u64::from(units_per_block))
+                    .max(u64::from(cfg.gc.low_watermark) + 4);
+                Some((u32::try_from(blocks).ok()?, units_per_block))
+            })
+            // Physical space covers the logical space, so a fitting
+            // geometry also keeps every lpn below the sentinel.
+            .filter(|&(blocks_per_lane, units_per_block)| {
+                Self::fits(lanes, blocks_per_lane, units_per_block)
+            });
+        let Some((blocks_per_lane, units_per_block)) = geometry else {
+            return Err(ConfigError::new(
+                "flash geometry does not fit the FTL's 32-bit mapping entries",
+            ));
+        };
+        let blocks_per_virtual = if cfg.splits_across_pair() { 2 } else { 1 };
+        Ok(Ftl::new(lanes, blocks_per_lane, units_per_block, cfg.gc)
+            .with_wear(cfg.wear, blocks_per_virtual))
+    }
+
+    /// Whether a geometry fits the FTL's packed `u32` table entries: every
+    /// `(lane, block, slot)` bit-packs below the unmapped sentinel, which
+    /// also bounds the physical (hence logical) unit count by `u32::MAX`.
+    /// Zero dimensions do not fit.
+    pub fn fits(lanes: u32, blocks_per_lane: u32, units_per_block: u32) -> bool {
+        lanes > 0
+            && blocks_per_lane > 0
+            && units_per_block > 0
+            && PpaPacking::new(blocks_per_lane, units_per_block).fits(
+                lanes,
+                blocks_per_lane,
+                units_per_block,
+            )
     }
 
     /// Enables wear-out with the given policy; `blocks_per_virtual` is the
@@ -289,7 +442,10 @@ impl Ftl {
 
     /// Looks up the physical address of a logical unit.
     pub fn lookup(&self, lpn: u64) -> Option<Ppa> {
-        self.l2p.get(lpn as usize).copied().flatten()
+        match self.l2p.get(lpn as usize) {
+            Some(&entry) if entry != UNMAPPED => Some(self.packing.unpack(entry)),
+            _ => None,
+        }
     }
 
     /// Total units migrated by GC so far.
@@ -381,7 +537,7 @@ impl Ftl {
             let _ = moved;
         }
         // Invalidate the old copy on overwrite.
-        if let Some(old) = self.l2p.get(lpn as usize).copied().flatten() {
+        if let Some(old) = self.lookup(lpn) {
             self.invalidate(old);
         }
         let mut forced_migrations = 0;
@@ -408,7 +564,7 @@ impl Ftl {
                 }
             }
         };
-        self.l2p[lpn as usize] = Some(ppa);
+        self.l2p[lpn as usize] = self.packing.pack(ppa);
         (
             Placement {
                 ppa,
@@ -422,7 +578,7 @@ impl Ftl {
     fn try_place_with_reserve(&mut self, lane_id: LaneId, lpn: u64, reserve: usize) -> Option<Ppa> {
         let lane = &mut self.lanes[lane_id.0 as usize];
         if let Some(slot) = lane.blocks[lane.open as usize].append() {
-            lane.p2l[lane.open as usize][slot as usize] = lpn;
+            lane.set_reverse(lane.open, slot, lpn);
             return Some(Ppa {
                 lane: lane_id,
                 block: lane.open,
@@ -438,7 +594,7 @@ impl Ftl {
         // A block from the free list is erased, so append cannot fail; `?`
         // keeps the path panic-free regardless.
         let slot = lane.blocks[next as usize].append()?;
-        lane.p2l[next as usize][slot as usize] = lpn;
+        lane.set_reverse(next, slot, lpn);
         Some(Ppa {
             lane: lane_id,
             block: next,
@@ -452,7 +608,7 @@ impl Ftl {
     fn place_gc(&mut self, lane_id: LaneId, lpn: u64) -> Ppa {
         let lane = &mut self.lanes[lane_id.0 as usize];
         if let Some(slot) = lane.blocks[lane.gc_open as usize].append() {
-            lane.p2l[lane.gc_open as usize][slot as usize] = lpn;
+            lane.set_reverse(lane.gc_open, slot, lpn);
             return Ppa {
                 lane: lane_id,
                 block: lane.gc_open,
@@ -469,7 +625,7 @@ impl Ftl {
             .append()
             // simlint: allow(S006): `next` was just popped from the free list, i.e. erased, and an erased block always accepts an append
             .expect("free block accepts appends");
-        lane.p2l[next as usize][slot as usize] = lpn;
+        lane.set_reverse(next, slot, lpn);
         Ppa {
             lane: lane_id,
             block: next,
@@ -505,7 +661,7 @@ impl Ftl {
         // never landed, so drop the failed copy before retrying.
         self.lanes[lane_id.0 as usize].blocks[block as usize].note_program_fail();
         self.invalidate(ppa);
-        self.l2p[lpn as usize] = None;
+        self.l2p[lpn as usize] = UNMAPPED;
 
         let can_touch = {
             let lane = &self.lanes[lane_id.0 as usize];
@@ -543,28 +699,26 @@ impl Ftl {
                     let b = &lane.blocks[block as usize];
                     (0..self.units_per_block)
                         .find(|&s| b.is_valid(s))
-                        .map(|s| (s, lane.p2l[block as usize][s as usize]))
+                        .map(|s| (s, lane.reverse(block, s)))
                 };
                 let Some((slot, moved_lpn)) = found else {
                     break;
                 };
-                debug_assert_ne!(moved_lpn, u64::MAX, "valid slot must map back");
+                debug_assert_ne!(moved_lpn, u64::from(UNMAPPED), "valid slot must map back");
                 {
                     let lane = &mut self.lanes[lane_id.0 as usize];
                     lane.blocks[block as usize].invalidate(slot);
-                    lane.p2l[block as usize][slot as usize] = u64::MAX;
+                    lane.clear_reverse(block, slot);
                 }
                 let new = self.place_gc(lane_id, moved_lpn);
-                self.l2p[moved_lpn as usize] = Some(new);
+                self.l2p[moved_lpn as usize] = self.packing.pack(new);
                 out.relocated_units += 1;
                 self.total_migrated += 1;
             }
             {
                 let lane = &mut self.lanes[lane_id.0 as usize];
                 lane.blocks[block as usize].erase();
-                lane.p2l[block as usize]
-                    .iter_mut()
-                    .for_each(|l| *l = u64::MAX);
+                lane.clear_block(block);
             }
             out.erased_blocks += 1;
             self.total_erased += 1;
@@ -595,7 +749,7 @@ impl Ftl {
     fn invalidate(&mut self, ppa: Ppa) {
         let lane = &mut self.lanes[ppa.lane.0 as usize];
         lane.blocks[ppa.block as usize].invalidate(ppa.slot);
-        lane.p2l[ppa.block as usize][ppa.slot as usize] = u64::MAX;
+        lane.clear_reverse(ppa.block, ppa.slot);
     }
 
     /// Migrates up to `budget` valid units out of the lane's victim,
@@ -624,7 +778,7 @@ impl Ftl {
                     c += 1;
                 }
                 (
-                    found.map(|s| (s, lane.p2l[victim_block as usize][s as usize])),
+                    found.map(|s| (s, lane.reverse(victim_block, s))),
                     found.is_none(),
                 )
             };
@@ -638,9 +792,7 @@ impl Ftl {
                     && self.wear_rng.chance(self.wear.per_erase_prob);
                 let lane = &mut self.lanes[lane_id.0 as usize];
                 lane.blocks[victim_block as usize].erase();
-                lane.p2l[victim_block as usize]
-                    .iter_mut()
-                    .for_each(|l| *l = u64::MAX);
+                lane.clear_block(victim_block);
                 let is_append_point = victim_block == lane.open || victim_block == lane.gc_open;
                 let mut usable = true;
                 if worn {
@@ -675,19 +827,23 @@ impl Ftl {
             // `exhausted` was handled above, so next_valid is Some; break
             // is the safe (unreachable) fallback rather than a panic.
             let Some((slot, lpn)) = next_valid else { break };
-            debug_assert_ne!(lpn, u64::MAX, "valid slot must have a reverse mapping");
+            debug_assert_ne!(
+                lpn,
+                u64::from(UNMAPPED),
+                "valid slot must have a reverse mapping"
+            );
             // Invalidate the old copy and advance the cursor...
             {
                 let lane = &mut self.lanes[lane_id.0 as usize];
                 lane.blocks[victim_block as usize].invalidate(slot);
-                lane.p2l[victim_block as usize][slot as usize] = u64::MAX;
+                lane.clear_reverse(victim_block, slot);
                 if let Some(v) = lane.victim.as_mut() {
                     v.cursor = slot + 1;
                 }
             }
             // ...then re-place the unit into the GC destination block.
             let ppa = self.place_gc(lane_id, lpn);
-            self.l2p[lpn as usize] = Some(ppa);
+            self.l2p[lpn as usize] = self.packing.pack(ppa);
             moved += 1;
             work.migrated_units += 1;
             self.total_migrated += 1;
@@ -760,19 +916,103 @@ mod tests {
         }
     }
 
+    /// Every mapped lpn resolves to a valid slot whose reverse entry names
+    /// it, and every valid slot's reverse entry resolves back to the slot:
+    /// `l2p` and `p2l` are inverse bijections over the `mapped` lpns.
+    fn assert_inverse(f: &Ftl, mapped: u64) {
+        for lpn in 0..mapped {
+            let ppa = f.lookup(lpn).expect("written lpn stays mapped");
+            let lane = &f.lanes[ppa.lane.0 as usize];
+            assert_eq!(lane.reverse(ppa.block, ppa.slot), lpn);
+            assert!(lane.blocks[ppa.block as usize].is_valid(ppa.slot));
+        }
+        let mut valid = 0u64;
+        for (l, lane) in f.lanes.iter().enumerate() {
+            for (b, block) in lane.blocks.iter().enumerate() {
+                for slot in block.valid_pages() {
+                    let ppa = Ppa {
+                        lane: LaneId(l as u32),
+                        block: b as u32,
+                        slot,
+                    };
+                    assert_eq!(f.lookup(lane.reverse(ppa.block, slot)), Some(ppa));
+                    valid += 1;
+                }
+            }
+        }
+        assert_eq!(valid, mapped);
+    }
+
     #[test]
     fn l2p_and_p2l_stay_inverse() {
         let mut f = Ftl::new(2, 6, 4, gc());
         for i in 0..200u64 {
             f.append(i % 20);
         }
-        for lpn in 0..20u64 {
-            if let Some(ppa) = f.lookup(lpn) {
-                let lane = &f.lanes[ppa.lane.0 as usize];
-                assert_eq!(lane.p2l[ppa.block as usize][ppa.slot as usize], lpn);
-                assert!(lane.blocks[ppa.block as usize].is_valid(ppa.slot));
+        assert_inverse(&f, 20);
+    }
+
+    #[test]
+    fn l2p_and_p2l_stay_inverse_at_preset_geometries() {
+        // The packed entries of the real device geometries, through a full
+        // precondition, GC-inducing random overwrites and program-fail
+        // recovery.
+        for cfg in [crate::presets::ull_800g(), crate::presets::nvme750()] {
+            let lanes =
+                crate::Topology::new(cfg.channels, cfg.ways, cfg.splits_across_pair()).lanes();
+            let mut f = Ftl::for_device(&cfg, lanes).expect("preset geometry fits");
+            let logical = cfg.logical_units();
+            for lpn in 0..logical {
+                f.append(lpn);
             }
+            let mut rng = SplitMix64::new(0x1217);
+            let mut recoveries = 0;
+            for i in 0..logical / 2 {
+                let lpn = rng.below(logical);
+                let (p, _) = f.append(lpn);
+                if i % 4_999 == 0 {
+                    let rec = f.recover_program_fail(p.ppa, lpn);
+                    assert_eq!(f.lookup(lpn), Some(rec.new_ppa));
+                    recoveries += 1;
+                }
+            }
+            assert!(
+                f.migrated_units() > 0 && f.erased_blocks() > 0,
+                "{}",
+                cfg.name
+            );
+            assert!(recoveries > 0);
+            assert_inverse(&f, logical);
         }
+    }
+
+    #[test]
+    fn packing_round_trips_at_the_edges() {
+        // 3 lanes x 5 blocks x 7 slots needs 2 + 3 + 3 bits.
+        let p = PpaPacking::new(5, 7);
+        assert!(p.fits(3, 5, 7));
+        for (lane, block, slot) in [(0, 0, 0), (2, 4, 6), (1, 3, 0), (0, 4, 6)] {
+            let ppa = Ppa {
+                lane: LaneId(lane),
+                block,
+                slot,
+            };
+            assert_eq!(p.unpack(p.pack(ppa)), ppa);
+        }
+        // 32 bits exactly: fits only while the largest address stays
+        // below the unmapped sentinel.
+        assert!(Ftl::fits(1 << 10, 1 << 11, (1 << 11) - 1));
+        assert!(!Ftl::fits(1 << 10, 1 << 11, 1 << 11));
+        assert!(!Ftl::fits(1 << 11, 1 << 11, 1 << 11));
+        let wide = PpaPacking::new(1, u32::MAX);
+        let top = Ppa {
+            lane: LaneId(0),
+            block: 0,
+            slot: u32::MAX - 1,
+        };
+        assert!(wide.fits(1, 1, u32::MAX));
+        assert_eq!(wide.unpack(wide.pack(top)), top);
+        assert!(!Ftl::fits(0, 4, 4) && !Ftl::fits(4, 0, 4) && !Ftl::fits(4, 4, 0));
     }
 
     #[test]
@@ -869,7 +1109,7 @@ mod tests {
             assert!(seen.insert(ppa), "duplicate mapping at {lpn}");
             let lane = &f.lanes[ppa.lane.0 as usize];
             assert!(lane.blocks[ppa.block as usize].is_valid(ppa.slot));
-            assert_eq!(lane.p2l[ppa.block as usize][ppa.slot as usize], lpn);
+            assert_eq!(lane.reverse(ppa.block, ppa.slot), lpn);
         }
     }
 

@@ -473,6 +473,123 @@ fn write_buffer_conserves_slots() {
     }
 }
 
+/// `WriteBuffer` as the device model first specified it, written the slow
+/// obvious way: a sorted list of release instants, and a resident map that
+/// takes a provisional never-ending entry at every admit and is swept of
+/// ended entries every 4,096 admits.
+struct RefWriteBuffer {
+    capacity: usize,
+    releases: Vec<u64>,
+    resident: std::collections::BTreeMap<u64, u64>,
+    admitted: u64,
+}
+
+impl RefWriteBuffer {
+    fn admit(&mut self, at: u64, lpn: u64) -> u64 {
+        self.admitted += 1;
+        let admitted_at = if self.releases.len() < self.capacity {
+            at
+        } else {
+            at.max(self.releases.remove(0))
+        };
+        self.resident.insert(lpn, u64::MAX);
+        if self.admitted.is_multiple_of(4096) {
+            self.resident
+                .retain(|_, &mut until| until == u64::MAX || until > admitted_at);
+        }
+        admitted_at
+    }
+
+    fn retire(&mut self, lpn: u64, program_end: u64) {
+        let i = self.releases.partition_point(|&r| r <= program_end);
+        self.releases.insert(i, program_end);
+        self.resident.insert(lpn, program_end);
+    }
+
+    fn holds(&self, lpn: u64, at: u64) -> bool {
+        self.resident.get(&lpn).is_some_and(|&until| at < until)
+    }
+}
+
+/// `WriteBuffer` (release heap, resident map, periodic sweep) makes the
+/// same admit decisions and `holds` answers as the reference model under
+/// seeded random admit/retire/holds interleavings, with program ends out
+/// of order and enough admits that the full-buffer pop and three sweeps
+/// fire. `admit_slot` followed at once by `retire` — the single-unit-row
+/// write path — must match the reference's `admit` + `retire`.
+#[test]
+fn write_buffer_matches_reference() {
+    for seed in SEEDS {
+        let mut rng = SplitMix64::new(seed ^ 0x3B0F);
+        let cap = 1 + rng.below(64) as u32;
+        let mut buf = WriteBuffer::new(cap);
+        let mut reference = RefWriteBuffer {
+            capacity: cap as usize,
+            releases: Vec::new(),
+            resident: std::collections::BTreeMap::new(),
+            admitted: 0,
+        };
+        // Units admitted through `admit` and not yet retired.
+        let mut pending: Vec<(u64, u64)> = Vec::new();
+        let mut clock = 0u64;
+        let (mut pops, mut admits) = (0u64, 0u64);
+        let mut answers = [0u64; 2];
+        while admits < 12_500 {
+            clock += rng.below(300);
+            let lpn = rng.below(64);
+            match rng.below(8) {
+                0..=1 => {
+                    let want = reference.admit(clock, lpn);
+                    let got = buf.admit(SimTime::from_nanos(clock), lpn).as_nanos();
+                    assert_eq!(got, want, "seed {seed}: admit {admits}");
+                    pops += u64::from(want > clock);
+                    admits += 1;
+                    clock = want;
+                    pending.push((lpn, want));
+                }
+                2 => {
+                    let want = reference.admit(clock, lpn);
+                    let got = buf.admit_slot(SimTime::from_nanos(clock)).as_nanos();
+                    assert_eq!(got, want, "seed {seed}: admit_slot {admits}");
+                    pops += u64::from(want > clock);
+                    admits += 1;
+                    clock = want;
+                    let end = want + 1 + rng.below(100_000);
+                    reference.retire(lpn, end);
+                    buf.retire(lpn, SimTime::from_nanos(end));
+                }
+                3..=4 if !pending.is_empty() => {
+                    let (lpn, admitted_at) =
+                        pending.swap_remove(rng.below(pending.len() as u64) as usize);
+                    let end = admitted_at + 1 + rng.below(100_000);
+                    reference.retire(lpn, end);
+                    buf.retire(lpn, SimTime::from_nanos(end));
+                }
+                _ => {
+                    // Half the queries target a unit still awaiting retire.
+                    let lpn = if !pending.is_empty() && rng.chance(0.5) {
+                        pending[rng.below(pending.len() as u64) as usize].0
+                    } else {
+                        lpn
+                    };
+                    let at = (clock + rng.below(110_000)).saturating_sub(10_000);
+                    let want = reference.holds(lpn, at);
+                    assert_eq!(
+                        buf.holds(lpn, SimTime::from_nanos(at)),
+                        want,
+                        "seed {seed}: holds({lpn}, {at}) after {admits} admits"
+                    );
+                    answers[usize::from(want)] += 1;
+                }
+            }
+        }
+        assert!(pops > 0, "seed {seed}: the buffer never filled");
+        assert!(answers.iter().all(|&n| n > 0), "seed {seed}: {answers:?}");
+        assert_eq!(buf.admitted(), reference.admitted);
+        assert_eq!(buf.in_flight(), reference.releases.len());
+    }
+}
+
 /// Request splitting always covers the byte range exactly, contiguously and
 /// within the limit.
 #[test]
