@@ -157,47 +157,39 @@ fn fleet_rates(nodes: u32, ios: u64, shards: usize) -> (f64, f64) {
     (events as f64 / secs, done as f64 / secs)
 }
 
-/// Device-slice microbench: doorbell-sized command bursts executed
-/// through [`ull_ssd::Ssd::execute_batch`] — the controller's batched
-/// drain with the NVMe rings peeled away. Returns commands/sec.
+/// Device-burst microbench: doorbell-sized bursts of 32 commands, each
+/// burst issued at one instant as one-at-a-time [`ull_ssd::Ssd::read`]/
+/// [`ull_ssd::Ssd::write`] calls — the controller's doorbell drain with
+/// the NVMe rings peeled away. Returns commands/sec.
 fn device_batch_drain_events_per_sec(ops: u64) -> f64 {
-    const BURST: usize = 32;
+    const BURST: u64 = 32;
     let mut ssd = ull_ssd::Ssd::new(ull_ssd::presets::ull_800g()).expect("preset");
-    let mut cmds: Vec<ull_ssd::SsdCommand> = Vec::with_capacity(BURST);
-    let mut comps = Vec::with_capacity(BURST);
     let mut t = SimTime::ZERO;
     let mut lba = 0u64;
     let t0 = Instant::now();
-    for _ in 0..ops / BURST as u64 {
-        cmds.clear();
-        for j in 0..BURST as u64 {
+    for _ in 0..ops / BURST {
+        let mut last = t;
+        for j in 0..BURST {
             let off = ((lba + j) % 8192) * 4096;
-            cmds.push(if (lba + j).is_multiple_of(4) {
-                ull_ssd::SsdCommand::Write {
-                    offset: off,
-                    len: 4096,
-                }
+            let c = if (lba + j).is_multiple_of(4) {
+                ssd.write(t, off, 4096)
             } else {
-                ull_ssd::SsdCommand::Read {
-                    offset: off,
-                    len: 4096,
-                }
-            });
+                ssd.read(t, off, 4096)
+            };
+            last = c.done;
         }
-        lba += BURST as u64;
-        ssd.execute_batch(t, &cmds, &mut comps, None);
-        t = comps.last().expect("burst is non-empty").done;
-        comps.clear();
+        lba += BURST;
+        t = last;
     }
     let secs = t0.elapsed().as_secs_f64();
     std::hint::black_box(ssd.metrics());
-    (ops / BURST as u64 * BURST as u64) as f64 / secs
+    (ops / BURST * BURST) as f64 / secs
 }
 
 /// Slab-churn microbench: the struct-of-arrays request slab under the
-/// completion-burst access pattern — prefetch a window of slot ids,
-/// then remove-and-reinsert each (one in-flight request retiring and
-/// its replacement arriving). Returns remove+insert pairs/sec.
+/// completion-burst access pattern — remove-and-reinsert each id of a
+/// 32-slot window (one in-flight request retiring and its replacement
+/// arriving). Returns remove+insert pairs/sec.
 fn slab_churn_ops_per_sec(ops: u64) -> f64 {
     const DEPTH: usize = 1024;
     const BURST: usize = 32;
@@ -207,7 +199,6 @@ fn slab_churn_ops_per_sec(ops: u64) -> f64 {
     let mut acc = 0u64;
     for b in 0..ops / BURST as u64 {
         let start = (b as usize * BURST) % DEPTH;
-        slab.prefetch(&ids[start..start + BURST]);
         for id in &mut ids[start..start + BURST] {
             let v = slab.remove(*id).expect("window ids are live");
             acc = acc.wrapping_add(v[0]);
@@ -300,10 +291,10 @@ fn main() {
     let nexus = sampled(samples, || nexus_ios_per_sec(nexus_n));
     println!("  {:.0} simulated ios/s", nexus.max);
     let drain_ops = sched_ops / 4;
-    println!("device batch drain, 32-command doorbell slices ({drain_ops} cmds):");
+    println!("device burst drain, 32-command doorbell bursts ({drain_ops} cmds):");
     let drain = sampled(samples, || device_batch_drain_events_per_sec(drain_ops));
     println!("  {:.0} commands/s", drain.max);
-    println!("SoA slab churn, prefetched 32-slot bursts ({sched_ops} pairs):");
+    println!("SoA slab churn, 32-slot bursts ({sched_ops} pairs):");
     let churn = sampled(samples, || slab_churn_ops_per_sec(sched_ops));
     println!("  {:.0} remove+insert pairs/s", churn.max);
 

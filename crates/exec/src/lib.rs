@@ -27,8 +27,8 @@
 //!   partitioned round-robin into serial groups first), merged in
 //!   declaration order.
 //! - [`ParallelRunner`] — event-level: the multi-core
-//!   [`WindowRunner`](ull_simkit::WindowRunner) that drains the shards
-//!   of one `ull_simkit::ShardedWorld` window concurrently (see
+//!   [`WindowRunner`] that drains the shards of one
+//!   `ull_simkit::ShardedWorld` window concurrently (see
 //!   `docs/SHARDING.md`).
 //!
 //! This is the one crate in the workspace allowed to touch threads:

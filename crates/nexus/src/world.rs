@@ -28,22 +28,6 @@ impl Component for NexusActor {
             NexusActor::Child(c) => c.on_event(now, ev, sched),
         }
     }
-
-    /// A shard batch is single-destination, so the enum dispatch is one
-    /// match per slice instead of one per event; the inner component's
-    /// `on_batch` (its trait default: an in-order drain) preserves
-    /// per-event order exactly.
-    fn on_batch(
-        &mut self,
-        now: SimTime,
-        batch: &mut Vec<NexusEvent>,
-        sched: &mut Scheduler<'_, NexusEvent>,
-    ) {
-        match self {
-            NexusActor::Frontend(f) => f.on_batch(now, batch, sched),
-            NexusActor::Child(c) => c.on_batch(now, batch, sched),
-        }
-    }
 }
 
 /// Builds the nexus world for `cfg`, runs it to quiescence on `shards`
@@ -54,29 +38,6 @@ impl Component for NexusActor {
 /// lotteries); the rest run pristine. The report is byte-identical at
 /// any shard count.
 pub fn run_nexus(cfg: &NexusConfig, shards: usize, runner: &mut impl WindowRunner) -> NexusReport {
-    run_nexus_inner(cfg, shards, runner, false)
-}
-
-/// [`run_nexus`] with slice dispatch disabled: every event is delivered
-/// through `on_event` one at a time. The batched path is contractually
-/// order-equivalent, so the two must produce byte-identical reports —
-/// this is the reference side of that differential test, not a public
-/// API surface.
-#[doc(hidden)]
-pub fn run_nexus_stepped(
-    cfg: &NexusConfig,
-    shards: usize,
-    runner: &mut impl WindowRunner,
-) -> NexusReport {
-    run_nexus_inner(cfg, shards, runner, true)
-}
-
-fn run_nexus_inner(
-    cfg: &NexusConfig,
-    shards: usize,
-    runner: &mut impl WindowRunner,
-    stepped: bool,
-) -> NexusReport {
     let mut actors = Vec::with_capacity(cfg.children as usize + 1);
     actors.push(NexusActor::Frontend(Box::new(NexusFrontend::new(
         cfg.clone(),
@@ -97,7 +58,6 @@ fn run_nexus_inner(
         ))));
     }
     let mut world = ShardedWorld::new(shards, Lookahead::from_floor(CHILD_LINK), actors);
-    world.set_stepped_dispatch(stepped);
     world.seed(ActorId(0), |a, sched| {
         if let NexusActor::Frontend(f) = a {
             f.prime(sched);
@@ -163,21 +123,6 @@ mod tests {
         assert!(r.degraded.count() > 0);
         assert_eq!(r.serving_children, 3, "the child was re-admitted");
         assert_eq!(r.digest_mismatch_ranges, 0, "replicas converged");
-    }
-
-    #[test]
-    fn batched_dispatch_matches_stepped_dispatch() {
-        // The differential contract of the slice pipeline: forcing every
-        // event through the one-at-a-time `on_event` path must reproduce
-        // the batched report byte-for-byte, faults and probe included.
-        let mut cfg = quick_cfg();
-        cfg.plan = FaultPlan::uniform(0x4E05, 2e-2);
-        cfg.budget = 3;
-        cfg.probe = true;
-        let batched = run_nexus(&cfg, 2, &mut SerialRunner);
-        let stepped = run_nexus_stepped(&cfg, 2, &mut SerialRunner);
-        assert!(batched.counters.fault_events > 0, "faults must fire");
-        assert_eq!(batched, stepped);
     }
 
     #[test]

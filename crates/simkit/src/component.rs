@@ -165,67 +165,29 @@ impl<E> core::fmt::Debug for Scheduler<'_, E> {
 
 /// One actor: local state driven by timestamped events.
 ///
-/// Implementations receive events through [`on_event`](Self::on_event)
-/// (or same-instant batches through [`on_batch`](Self::on_batch)) and
-/// emit follow-ups through the [`Scheduler`] — never by draining a
-/// wheel of their own, which is what lets one implementation run under
-/// either driver.
+/// Implementations receive events one at a time through
+/// [`on_event`](Self::on_event) and emit follow-ups through the
+/// [`Scheduler`] — never by draining a wheel of their own, which is
+/// what lets one implementation run under either driver.
 pub trait Component {
     /// The component's event payload.
     type Event;
 
     /// Handles one event at instant `now`.
     fn on_event(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<'_, Self::Event>);
-
-    /// Handles every event of one instant as a slice.
-    ///
-    /// The default forwards to [`on_event`](Self::on_event) in order;
-    /// hot components (the ssd device scheduler) override it to
-    /// amortize per-event dispatch across coalesced completions
-    /// (ROADMAP item 5). Implementations must leave `batch` empty.
-    fn on_batch(
-        &mut self,
-        now: SimTime,
-        batch: &mut Vec<Self::Event>,
-        sched: &mut Scheduler<'_, Self::Event>,
-    ) {
-        for ev in batch.drain(..) {
-            self.on_event(now, ev, sched);
-        }
-    }
-}
-
-/// Wraps a component and suppresses its [`Component::on_batch`]
-/// override, forcing every batch through the default one-event-at-a-
-/// time loop.
-///
-/// This is the reference side of the batch==singleton differential
-/// tests: running the same seeded scenario through `Unbatched<C>` and
-/// through `C` must produce byte-identical reports, because a batch
-/// override is only ever allowed to amortize dispatch — never to
-/// change observable order or state.
-pub struct Unbatched<C>(pub C);
-
-impl<C: Component> Component for Unbatched<C> {
-    type Event = C::Event;
-
-    fn on_event(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<'_, Self::Event>) {
-        self.0.on_event(now, ev, sched);
-    }
-    // No `on_batch` override: the trait default drains the batch
-    // through `on_event` in order, which lands on the inner
-    // component's `on_event` — its batch fast path is never consulted.
 }
 
 /// The single-actor driver: one component, one timing wheel.
 ///
 /// This is what the four hand-rolled engine loops were each an
-/// open-coded copy of. [`run`](Self::run) drains same-instant batches
-/// through [`Component::on_batch`]; [`run_stepped`](Self::run_stepped)
-/// dispatches strictly one event at a time for components whose
-/// emissions at the *current* instant must interleave, by key, with
-/// events still pending at that instant (trace replay's
-/// submit-before-completion tie).
+/// open-coded copy of. [`run`](Self::run) pops every event of the
+/// earliest instant as one closed batch and dispatches it through
+/// [`Component::on_event`] in order, so an event emitted at the current
+/// instant runs after the whole batch. [`run_stepped`](Self::run_stepped)
+/// pops strictly one event at a time for components whose emissions at
+/// the *current* instant must interleave, by key, with events still
+/// pending at that instant (trace replay's submit-before-completion
+/// tie).
 pub struct Engine<E> {
     wheel: TimingWheel<E>,
     batch: Vec<E>,
@@ -277,8 +239,10 @@ impl<E> Engine<E> {
         f(&mut sched)
     }
 
-    /// Drains every pending event through `c`, batch per instant, until
-    /// the wheel is empty or the component [`halt`](Scheduler::halt)s.
+    /// Drains every pending event through `c`, one closed batch per
+    /// instant, until the wheel is empty or the component
+    /// [`halt`](Scheduler::halt)s. A halt takes effect once the current
+    /// instant's batch has been dispatched.
     pub fn run(&mut self, c: &mut impl Component<Event = E>) {
         self.halted = false;
         while !self.halted {
@@ -287,15 +251,7 @@ impl<E> Engine<E> {
                 self.batch = batch;
                 return;
             };
-            let mut sched = Scheduler {
-                now: t,
-                me: ActorId(0),
-                floor: SimDuration::ZERO,
-                halted: &mut self.halted,
-                sink: &mut self.wheel,
-            };
-            c.on_batch(t, &mut batch, &mut sched);
-            batch.clear();
+            self.dispatch(t, &mut batch, c);
             self.batch = batch;
         }
     }
@@ -311,16 +267,23 @@ impl<E> Engine<E> {
                 self.batch = batch;
                 return;
             };
-            let mut sched = Scheduler {
-                now: t,
-                me: ActorId(0),
-                floor: SimDuration::ZERO,
-                halted: &mut self.halted,
-                sink: &mut self.wheel,
-            };
-            c.on_batch(t, &mut batch, &mut sched);
-            batch.clear();
+            self.dispatch(t, &mut batch, c);
             self.batch = batch;
+        }
+    }
+
+    /// Dispatches one popped same-instant batch through `c` in order,
+    /// leaving `batch` empty.
+    fn dispatch(&mut self, t: SimTime, batch: &mut Vec<E>, c: &mut impl Component<Event = E>) {
+        let mut sched = Scheduler {
+            now: t,
+            me: ActorId(0),
+            floor: SimDuration::ZERO,
+            halted: &mut self.halted,
+            sink: &mut self.wheel,
+        };
+        for ev in batch.drain(..) {
+            c.on_event(t, ev, &mut sched);
         }
     }
 
@@ -440,6 +403,21 @@ mod tests {
         };
         e.run_stepped(&mut c);
         assert_eq!(c.seen, vec![(10, 100), (10, 200), (10, 300)]);
+    }
+
+    #[test]
+    fn run_dispatches_current_instant_emissions_after_the_batch() {
+        // Same setup as the stepped test: `run` pops keys 1 and 3 as one
+        // closed batch, so the key-2 emission waits until after key 3.
+        let mut e = Engine::new();
+        e.schedule_keyed(SimTime::from_nanos(10), 1, 100);
+        e.schedule_keyed(SimTime::from_nanos(10), 3, 300);
+        let mut c = Collector {
+            seen: Vec::new(),
+            emit_at_now: Some((2, 200)),
+        };
+        e.run(&mut c);
+        assert_eq!(c.seen, vec![(10, 100), (10, 300), (10, 200)]);
     }
 
     struct HaltAfter(u32);

@@ -62,7 +62,7 @@ mod stats;
 mod time;
 mod wheel;
 
-pub use component::{ActorId, Component, Engine, Scheduler, Unbatched};
+pub use component::{ActorId, Component, Engine, Scheduler};
 pub use event::EventQueue;
 pub use hist::Histogram;
 pub use json::Json;

@@ -107,9 +107,6 @@ struct Shard<C: Component> {
     wheel: TimingWheel<ShardEvent<C::Event>>,
     outbox: Vec<ShardEvent<C::Event>>,
     batch: Vec<ShardEvent<C::Event>>,
-    /// Pooled payload vector handed to [`Component::on_batch`] for each
-    /// same-destination run; reused across every window.
-    payloads: Vec<C::Event>,
     halted: bool,
 }
 
@@ -168,20 +165,11 @@ impl<E> EventSink<E> for ShardSink<'_, E> {
 
 impl<C: Component> Shard<C> {
     /// Drains every instant strictly before `bound`, dispatching each
-    /// event to its resident actor. Emissions flow through a
-    /// [`ShardSink`]; a component [`halt`](Scheduler::halt) stops this
-    /// window early (the remaining events stay pending for the next).
-    ///
-    /// Same-instant events for the *same* destination form contiguous
-    /// runs in the wheel's `(time, key, seq)` pop order only when their
-    /// keys are adjacent, so runs are detected on the fly: each
-    /// maximal consecutive same-`dst` run becomes one
-    /// [`Component::on_batch`] call (one sink borrow, one dispatch),
-    /// which preserves the exact per-event order because `on_batch` is
-    /// contractually order-equivalent to the `on_event` loop. With
-    /// `stepped` set, every event goes through `on_event` individually
-    /// — the reference side of the batch==singleton differential tests.
-    fn drain_window(&mut self, bound: SimTime, floor: SimDuration, n_shards: u32, stepped: bool) {
+    /// event to its resident actor through [`Component::on_event`].
+    /// Emissions flow through a [`ShardSink`]; a component
+    /// [`halt`](Scheduler::halt) stops this window after the current
+    /// instant (the remaining events stay pending for the next).
+    fn drain_window(&mut self, bound: SimTime, floor: SimDuration, n_shards: u32) {
         self.halted = false;
         // `bound` is exclusive and lookahead is >= 1 ns, so the
         // inclusive drain limit is one nanosecond short of it.
@@ -192,36 +180,16 @@ impl<C: Component> Shard<C> {
                 self.batch = batch;
                 return;
             };
-            let mut payloads = core::mem::take(&mut self.payloads);
-            let mut events = batch.drain(..).peekable();
-            while let Some(first) = events.next() {
-                let dst = first.dst;
-                let local = (dst.0 / n_shards) as usize;
-                let slot = &mut self.actors[local];
+            for ev in batch.drain(..) {
+                let dst = ev.dst;
+                let slot = &mut self.actors[(dst.0 / n_shards) as usize];
                 debug_assert_eq!(slot.id, dst, "round-robin placement out of sync");
-                if first.src != dst {
+                if ev.src != dst {
                     slot.log.push(Delivery {
                         at: t,
-                        src: first.src,
-                        seq: first.seq,
+                        src: ev.src,
+                        seq: ev.seq,
                     });
-                }
-                payloads.push(first.payload);
-                if !stepped {
-                    // Extend the run: arrivals are logged here in the
-                    // same order per-event dispatch would log them.
-                    while events.peek().is_some_and(|e| e.dst == dst) {
-                        if let Some(ev) = events.next() {
-                            if ev.src != dst {
-                                slot.log.push(Delivery {
-                                    at: t,
-                                    src: ev.src,
-                                    seq: ev.seq,
-                                });
-                            }
-                            payloads.push(ev.payload);
-                        }
-                    }
                 }
                 let mut sink = ShardSink {
                     wheel: &mut self.wheel,
@@ -239,17 +207,8 @@ impl<C: Component> Shard<C> {
                     halted: &mut self.halted,
                     sink: &mut sink,
                 };
-                if stepped {
-                    if let Some(ev) = payloads.pop() {
-                        slot.component.on_event(t, ev, &mut sched);
-                    }
-                } else {
-                    slot.component.on_batch(t, &mut payloads, &mut sched);
-                }
-                payloads.clear();
+                slot.component.on_event(t, ev.payload, &mut sched);
             }
-            drop(events);
-            self.payloads = payloads;
             self.batch = batch;
         }
     }
@@ -325,8 +284,6 @@ pub struct ShardedWorld<C: Component> {
     shards: Vec<Shard<C>>,
     lookahead: Lookahead,
     n_actors: usize,
-    /// Force one-event-at-a-time dispatch (differential-test hook).
-    stepped: bool,
     /// Pooled scratch the window barrier rotates shard outboxes
     /// through, so steady-state exchanges allocate nothing.
     exchange_scratch: Vec<ShardEvent<C::Event>>,
@@ -359,13 +316,11 @@ impl<C: Component> ShardedWorld<C> {
                     wheel: TimingWheel::new(),
                     outbox: Vec::new(),
                     batch: Vec::new(),
-                    payloads: Vec::new(),
                     halted: false,
                 })
                 .collect(),
             lookahead,
             n_actors,
-            stepped: false,
             exchange_scratch: Vec::new(),
         };
         for (i, component) in actors.into_iter().enumerate() {
@@ -383,17 +338,6 @@ impl<C: Component> ShardedWorld<C> {
     /// Number of physical shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Forces every dispatch through [`Component::on_event`] one event
-    /// at a time, suppressing `on_batch` overrides.
-    ///
-    /// This is the reference side of the batch==singleton differential
-    /// tests: a world run with stepped dispatch must produce
-    /// byte-identical output to the default batched dispatch, because
-    /// `on_batch` is only allowed to amortize — never to reorder.
-    pub fn set_stepped_dispatch(&mut self, stepped: bool) {
-        self.stepped = stepped;
     }
 
     /// Runs `f` over `actor`'s component with a [`Scheduler`] pinned to
@@ -449,13 +393,12 @@ impl<C: Component> ShardedWorld<C> {
     {
         let floor = self.lookahead.duration();
         let n_shards = self.shards.len() as u32;
-        let stepped = self.stepped;
         loop {
             let horizon = self.shards.iter().filter_map(|s| s.wheel.earliest()).min();
             let Some(t) = horizon else { break };
             let bound = t + floor;
             runner.run(&mut self.shards, |_, shard| {
-                shard.drain_window(bound, floor, n_shards, stepped);
+                shard.drain_window(bound, floor, n_shards);
             });
             self.exchange();
         }
@@ -574,21 +517,6 @@ mod tests {
         for shards in [2, 3, 5, 8] {
             assert_eq!(run_ring(5, shards), reference, "shards={shards}");
         }
-    }
-
-    #[test]
-    fn stepped_dispatch_matches_batched_dispatch() {
-        let reference = run_ring(5, 2);
-        let mut w = ring_world(5, 2, 5);
-        w.set_stepped_dispatch(true);
-        w.seed(ActorId(0), |r, sched| {
-            let p = r.peers[0];
-            sched.send(p, SimTime::ZERO, 0);
-        });
-        w.run();
-        let logs = w.delivery_logs();
-        let got: RingHistory = w.into_actors().into_iter().map(|r| r.got).collect();
-        assert_eq!((got, logs), reference);
     }
 
     #[test]

@@ -18,13 +18,6 @@
 //! array-of-structs layout interleaved a 4-byte generation with each
 //! payload, striding the checks across the whole arena.
 //!
-//! [`prefetch`](Slab::prefetch) warms both lanes for an upcoming burst
-//! of ids. The crate forbids `unsafe`, so instead of `_mm_prefetch` it
-//! issues ordinary loads pinned by [`core::hint::black_box`] — a
-//! touch-ahead: the lines are resident by the time the drain loop
-//! dereferences them, which is all a prefetch buys on this access
-//! pattern.
-//!
 //! Determinism note: slot indices are allocated from a LIFO free list,
 //! which makes ids a pure function of the insert/remove sequence —
 //! the same schedule always yields the same ids. Nothing in the slab
@@ -163,23 +156,6 @@ impl<T> Slab<T> {
         self.values[id.index()].as_mut()
     }
 
-    /// Warms the cache for an upcoming burst of lookups.
-    ///
-    /// Issues pinned loads (see the module docs) of the generation and
-    /// payload lanes for every id in `ids`, so a completion drain that
-    /// is about to [`remove`](Self::remove) the whole burst finds the
-    /// lines resident instead of missing once per slot. Stale or
-    /// out-of-range ids are touched harmlessly; no observable slab
-    /// state changes.
-    #[inline]
-    pub fn prefetch(&self, ids: &[SlotId]) {
-        for id in ids {
-            let i = id.index();
-            core::hint::black_box(self.generations.get(i).copied());
-            core::hint::black_box(self.values.get(i).map(Option::is_some));
-        }
-    }
-
     /// Number of occupied slots.
     #[inline]
     pub fn len(&self) -> usize {
@@ -255,21 +231,5 @@ mod tests {
             *v += 1;
         }
         assert_eq!(s.remove(id), Some(42));
-    }
-
-    #[test]
-    fn prefetch_is_observably_inert() {
-        let mut s = Slab::new();
-        let a = s.insert(7u32);
-        let stale = {
-            let tmp = s.insert(8u32);
-            s.remove(tmp);
-            tmp
-        };
-        let out_of_range = SlotId::new(900, 3);
-        s.prefetch(&[a, stale, out_of_range]);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.get(a), Some(&7));
-        assert_eq!(s.get(stale), None);
     }
 }

@@ -158,6 +158,20 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        let capacity = host.controller().ssd().capacity_bytes();
+        let past_end = ops
+            .iter()
+            .position(|op| op.offset + u64::from(op.len) > capacity);
+        if let Some(i) = past_end {
+            let op = &ops[i];
+            eprintln!(
+                "ullfio: trace record {}: offset {} + len {} is past the end of {device_name} ({capacity} bytes)",
+                i + 1,
+                op.offset,
+                op.len
+            );
+            return ExitCode::FAILURE;
+        }
         let r = replay(&mut host, &ops);
         println!(
             "trace replay on {device_name} ({}): {} records in {}, mean={} p99={} slipped={}",

@@ -10,6 +10,7 @@
 //! 12.5,W,1048576,8192
 //! ```
 
+use ull_nvme::LBA_BYTES;
 use ull_simkit::{Component, Engine, Histogram, Scheduler, SimDuration, SimTime, SlotId};
 use ull_stack::{AsyncPort, Host, IoOp};
 
@@ -78,6 +79,13 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, ParseTraceError> {
             .parse()
             // simlint: allow(S010): parse-error path — runs at most once per replay, never per I/O
             .map_err(|_| err(format!("bad time {:?}", fields[0])))?;
+        if !at_us.is_finite() || at_us < 0.0 {
+            // simlint: allow(S010): parse-error path — runs at most once per replay, never per I/O
+            return Err(err(format!(
+                "bad time {:?}, expected a finite time >= 0",
+                fields[0]
+            )));
+        }
         let op = match fields[1] {
             "R" | "r" => IoOp::Read,
             "W" | "w" => IoOp::Write,
@@ -94,6 +102,17 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, ParseTraceError> {
             .map_err(|_| err(format!("bad len {:?}", fields[3])))?;
         if len == 0 {
             return Err(err("zero-length record".into()));
+        }
+        let lba = u64::from(LBA_BYTES);
+        if !offset.is_multiple_of(lba) || !u64::from(len).is_multiple_of(lba) {
+            // simlint: allow(S010): parse-error path — runs at most once per replay, never per I/O
+            return Err(err(format!(
+                "offset {offset} and len {len} must be multiples of the {lba}-byte LBA"
+            )));
+        }
+        if offset.checked_add(u64::from(len)).is_none() {
+            // simlint: allow(S010): parse-error path — runs at most once per replay, never per I/O
+            return Err(err(format!("offset {offset} + len {len} overflows u64")));
         }
         ops.push(TraceOp {
             at: SimDuration::from_micros_f64(at_us),
@@ -289,6 +308,19 @@ mod tests {
             .unwrap_err()
             .message
             .contains("zero-length"));
+        for bad_time in ["-5", "NaN", "inf", "-inf"] {
+            let e = parse_trace(&format!("0,R,0,4096\n{bad_time},R,0,4096")).unwrap_err();
+            assert_eq!(e.line, 2, "{bad_time}");
+            assert!(e.message.contains("bad time"), "{bad_time}: {e}");
+        }
+        for unaligned in ["0,R,100,4096", "0,W,0,100"] {
+            let e = parse_trace(unaligned).unwrap_err();
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains("512-byte LBA"), "{unaligned}: {e}");
+        }
+        let e = parse_trace("# header\n0,R,18446744073709551104,4096").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("overflows"), "{e}");
     }
 
     #[test]
