@@ -9,7 +9,7 @@
 //! latency cliff.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use ull_simkit::{SimDuration, SimTime, SplitMix64};
 
@@ -17,6 +17,11 @@ use crate::config::ReadCachePolicy;
 
 /// Bounded write-back buffer: a unit occupies one slot from admission until
 /// its flash program retires.
+///
+/// Two structures back it: a min-heap of pending slot releases, and a flat
+/// open-addressed table from lpn to the instant its buffered copy stops
+/// being readable. Once every 4,096 admits a sweep drops the table's
+/// ended entries, rebuilding it in place.
 ///
 /// # Examples
 ///
@@ -42,9 +47,10 @@ pub struct WriteBuffer {
     /// no tie-break is needed.
     releases: BinaryHeap<Reverse<u64>>,
     /// lpn -> time at which the buffered copy stops being addressable
-    /// (program end); reads before that are DRAM hits. A `BTreeMap` so the
-    /// periodic `sweep` retains entries in a deterministic order (S003).
-    resident: BTreeMap<u64, u64>,
+    /// (program end); reads before that are DRAM hits. Written once per
+    /// admitted unit and read once per read unit, so it is a flat hash
+    /// table rather than a `BTreeMap`.
+    resident: ResidentTable,
     admitted: u64,
 }
 
@@ -59,7 +65,7 @@ impl WriteBuffer {
         WriteBuffer {
             capacity: capacity as usize,
             releases: BinaryHeap::new(),
-            resident: BTreeMap::new(),
+            resident: ResidentTable::new(),
             admitted: 0,
         }
     }
@@ -109,8 +115,8 @@ impl WriteBuffer {
     /// buffered copy.
     pub fn holds(&self, lpn: u64, at: SimTime) -> bool {
         self.resident
-            .get(&lpn)
-            .is_some_and(|&until| at.as_nanos() < until)
+            .get(lpn)
+            .is_some_and(|until| at.as_nanos() < until)
     }
 
     /// Total units ever admitted.
@@ -126,7 +132,132 @@ impl WriteBuffer {
     fn sweep(&mut self, now: SimTime) {
         let now = now.as_nanos();
         self.resident
-            .retain(|_, &mut until| until == u64::MAX || until > now);
+            .retain(|until| until == u64::MAX || until > now);
+    }
+}
+
+/// Key marking a vacant slot of [`ResidentTable`].
+const VACANT: u64 = u64::MAX;
+
+/// Open-addressed map from lpn to release instant: a power-of-two array of
+/// `(lpn, until)` slots, linear probing from a fixed multiplicative hash,
+/// at most half full. No per-entry allocation and no `RandomState`, so
+/// its contents, and every answer it gives, depend only on the inserts.
+#[derive(Debug)]
+struct ResidentTable {
+    /// `(lpn, until)` pairs; a `VACANT` key marks an empty slot.
+    slots: Vec<(u64, u64)>,
+    /// Occupied slots.
+    len: usize,
+    /// The entry for lpn `u64::MAX`, whose key is the vacancy marker.
+    last: Option<u64>,
+    /// Survivors of a `retain`, kept to reuse the allocation.
+    scratch: Vec<(u64, u64)>,
+}
+
+impl ResidentTable {
+    const MIN_SLOTS: usize = 16;
+
+    fn new() -> Self {
+        ResidentTable {
+            slots: vec![(VACANT, 0); Self::MIN_SLOTS],
+            len: 0,
+            last: None,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Home slot of `lpn`: the top bits of `lpn` times 2^64 / φ
+    /// (Fibonacci hashing), so sequential lpns spread across the table.
+    #[inline]
+    fn home(&self, lpn: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// Inserts or overwrites the entry for `lpn`.
+    #[inline]
+    fn insert(&mut self, lpn: u64, until: u64) {
+        if lpn == VACANT {
+            self.last = Some(until);
+            return;
+        }
+        if self.place(lpn, until) {
+            self.len += 1;
+            if 2 * self.len > self.slots.len() {
+                self.grow();
+            }
+        }
+    }
+
+    /// Writes `(lpn, until)` into `lpn`'s slot; true if the slot was
+    /// vacant. The table always has a vacant slot, so the probe ends.
+    #[inline]
+    fn place(&mut self, lpn: u64, until: u64) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(lpn);
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.0 == lpn {
+                slot.1 = until;
+                return false;
+            }
+            if slot.0 == VACANT {
+                *slot = (lpn, until);
+                return true;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    #[inline]
+    fn get(&self, lpn: u64) -> Option<u64> {
+        if lpn == VACANT {
+            return self.last;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(lpn);
+        loop {
+            let (key, until) = self.slots[i];
+            if key == lpn {
+                return Some(until);
+            }
+            if key == VACANT {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the slot count and rehashes every entry.
+    fn grow(&mut self) {
+        let doubled = vec![(VACANT, 0); 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        for (lpn, until) in old {
+            if lpn != VACANT {
+                self.place(lpn, until);
+            }
+        }
+    }
+
+    /// Keeps only the entries whose `until` satisfies `keep`, rebuilding
+    /// the table in place.
+    fn retain(&mut self, keep: impl Fn(u64) -> bool) {
+        let mut kept = std::mem::take(&mut self.scratch);
+        kept.clear();
+        kept.extend(
+            self.slots
+                .iter()
+                .copied()
+                .filter(|&(lpn, until)| lpn != VACANT && keep(until)),
+        );
+        self.slots.fill((VACANT, 0));
+        self.len = kept.len();
+        for &(lpn, until) in &kept {
+            self.place(lpn, until);
+        }
+        self.scratch = kept;
+        self.last = self.last.filter(|&until| keep(until));
     }
 }
 
@@ -253,6 +384,32 @@ mod tests {
         assert!(b.holds(42, SimTime::from_micros(99)));
         assert!(!b.holds(42, SimTime::from_micros(100)));
         assert!(!b.holds(7, SimTime::ZERO));
+    }
+
+    #[test]
+    fn resident_table_grows_sweeps_and_keys_every_lpn() {
+        let mut t = ResidentTable::new();
+        let lpns = (0..1000u64).map(|i| i << 20).chain([0, 1, u64::MAX]);
+        for (i, lpn) in lpns.clone().enumerate() {
+            t.insert(lpn, if i % 2 == 0 { u64::MAX } else { i as u64 });
+        }
+        assert!(t.slots.len() >= 2 * t.len);
+        t.insert(u64::MAX, 7); // overwrite
+        assert_eq!(t.get(u64::MAX), Some(7));
+        assert_eq!(t.get(3 << 20), Some(3));
+        assert_eq!(t.get(2), None);
+        t.retain(|until| until == u64::MAX || until > 500);
+        for (i, lpn) in lpns.enumerate() {
+            let until = if lpn == u64::MAX {
+                7
+            } else if i % 2 == 0 {
+                u64::MAX
+            } else {
+                i as u64
+            };
+            let kept = until == u64::MAX || until > 500;
+            assert_eq!(t.get(lpn), kept.then_some(until), "lpn {lpn}");
+        }
     }
 
     #[test]

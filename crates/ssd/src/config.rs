@@ -16,6 +16,16 @@ use crate::ftl::WearConfig;
 /// pages).
 pub const MAP_UNIT_BYTES: u32 = 4096;
 
+/// Longest latency one configuration field may set. Simulated instants
+/// are `u64` nanoseconds and the energy ledger keeps one bucket per 10 ms
+/// of simulated time, so unbounded latencies would overflow the one and
+/// exhaust memory in the other.
+const MAX_LATENCY: SimDuration = SimDuration::from_secs(1);
+
+/// Largest flash page. Real NAND pages are 2–16 KB; the FTL allocates
+/// whole blocks of pages up front, so larger pages would only inflate it.
+const MAX_PAGE_BYTES: u32 = 1 << 20;
+
 /// A rare long-latency internal event (read retry, ECC recovery, mapping
 /// checkpoint, wear-levelling move). These produce the "five-nines" tails of
 /// fig. 4b / fig. 11 that average latency hides.
@@ -202,13 +212,62 @@ impl SsdConfig {
     ///
     /// Returns a human-readable description of the first inconsistency
     /// found (odd channel count with super-channels, suspend/resume on flash
-    /// that cannot suspend, zero capacity, ...).
+    /// that cannot suspend, zero capacity, a die count or program row that
+    /// overflows `u32`, a latency over 1 s, a probability outside [0, 1],
+    /// ...).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.channels == 0 || self.ways == 0 {
             return Err(ConfigError::new("channels and ways must be non-zero"));
         }
+        if self.channels.checked_mul(self.ways).is_none() {
+            return Err(ConfigError::new("channels x ways must fit in u32"));
+        }
         if self.planes == 0 {
             return Err(ConfigError::new("planes must be non-zero"));
+        }
+        // Bounding the page first keeps `units_per_row` from overflowing.
+        if self.flash.page_size > MAX_PAGE_BYTES {
+            return Err(ConfigError::new("flash page size must be at most 1 MiB"));
+        }
+        if self.units_per_row().checked_mul(self.planes).is_none() {
+            return Err(ConfigError::new(
+                "units per program row (page units x planes) must fit in u32",
+            ));
+        }
+        let latencies = [
+            self.channel_setup,
+            self.controller_read,
+            self.controller_write,
+            self.controller_per_op,
+            self.row_flush_timeout,
+            self.read_cache.hit_latency,
+            self.read_tail.delay,
+            self.write_tail.delay,
+            self.flash.t_read,
+            self.flash.t_prog,
+            self.flash.t_erase,
+            self.flash.suspend_latency,
+            self.flash.resume_latency,
+        ];
+        if latencies.iter().any(|&d| d > MAX_LATENCY) {
+            return Err(ConfigError::new("every latency must be at most 1 s"));
+        }
+        let probabilities = [
+            self.read_cache.seq_hit_prob,
+            self.read_cache.rnd_hit_prob,
+            self.read_tail.probability,
+            self.write_tail.probability,
+            self.wear.per_erase_prob,
+        ];
+        if !probabilities.iter().all(|p| (0.0..=1.0).contains(p)) {
+            return Err(ConfigError::new("probabilities must be in [0, 1]"));
+        }
+        let p = &self.power;
+        let energies = [p.idle_w, p.host_read_nj, p.host_write_nj, p.gc_unit_nj];
+        if !energies.iter().all(|e| e.is_finite() && *e >= 0.0) {
+            return Err(ConfigError::new(
+                "power constants must be finite and non-negative",
+            ));
         }
         if self.super_channel && !self.channels.is_multiple_of(2) {
             return Err(ConfigError::new(

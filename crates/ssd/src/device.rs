@@ -242,8 +242,9 @@ impl Ssd {
 
     fn unit_range(&self, offset: u64, len: u32) -> (u64, u64) {
         assert!(len > 0, "zero-length I/O");
+        let end = offset.checked_add(u64::from(len));
         assert!(
-            offset + len as u64 <= self.cfg.capacity_bytes,
+            end.is_some_and(|end| end <= self.cfg.capacity_bytes),
             "I/O beyond device capacity: offset={offset} len={len}"
         );
         let first = offset / MAP_UNIT_BYTES as u64;
@@ -661,6 +662,26 @@ mod tests {
             deep_watermark.gc.low_watermark = u32::MAX;
             assert!(Ssd::new(deep_watermark).is_err(), "{}", cfg.name);
         }
+    }
+
+    #[test]
+    fn overflowing_geometry_products_are_config_errors() {
+        let mut wide = presets::nvme750();
+        wide.ways = 1 << 30; // channels x ways overflows u32
+        assert!(Ssd::new(wide).is_err());
+        let mut huge_pages = presets::ull_800g();
+        huge_pages.flash.page_size = u32::MAX; // 2 x page_size overflows u32
+        assert!(Ssd::new(huge_pages).is_err());
+        let mut deep_rows = presets::nvme750();
+        deep_rows.planes = u32::MAX; // units_per_row x planes overflows u32
+        assert!(Ssd::new(deep_rows).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "I/O beyond device capacity")]
+    fn io_range_overflowing_u64_panics() {
+        let mut ssd = Ssd::new(presets::ull_800g()).expect("preset");
+        ssd.read(SimTime::ZERO, u64::MAX - 100, 4096);
     }
 
     #[test]

@@ -13,7 +13,9 @@ use ull_ssd_study::nvme::{CompletionQueue, NvmeCommand, SubmissionQueue};
 use ull_ssd_study::simkit::{
     EventQueue, Histogram, SimDuration, SimTime, SplitMix64, Timeline, TimingWheel,
 };
-use ull_ssd_study::ssd::{presets, Ftl, GcPolicy, LaneId, RemapChecker, WearConfig, WriteBuffer};
+use ull_ssd_study::ssd::{
+    presets, Ftl, GcPolicy, LaneId, RemapChecker, Ssd, SsdConfig, WearConfig, WriteBuffer,
+};
 use ull_ssd_study::stack::{split_request, IoOp, IoPath};
 use ull_ssd_study::study::{host, Device};
 use ull_ssd_study::workload::{run_job, JobSpec, Pattern};
@@ -511,83 +513,115 @@ impl RefWriteBuffer {
     }
 }
 
-/// `WriteBuffer` (release heap, resident map, periodic sweep) makes the
+/// `WriteBuffer` (release heap, resident table, periodic sweep) makes the
 /// same admit decisions and `holds` answers as the reference model under
 /// seeded random admit/retire/holds interleavings, with program ends out
 /// of order and enough admits that the full-buffer pop and three sweeps
 /// fire. `admit_slot` followed at once by `retire` — the single-unit-row
 /// write path — must match the reference's `admit` + `retire`.
+///
+/// Each seed runs two shapes. The narrow one (lpns below 64, at most 64
+/// slots) overwrites and re-queries the same entries constantly. The wide
+/// one (lpns below 2^20 plus `0` and `u64::MAX`, up to 8,192 slots) makes
+/// the resident table grow, its probes collide, and its sweeps rebuild it
+/// around many live entries.
 #[test]
 fn write_buffer_matches_reference() {
     for seed in SEEDS {
         let mut rng = SplitMix64::new(seed ^ 0x3B0F);
         let cap = 1 + rng.below(64) as u32;
-        let mut buf = WriteBuffer::new(cap);
-        let mut reference = RefWriteBuffer {
-            capacity: cap as usize,
-            releases: Vec::new(),
-            resident: std::collections::BTreeMap::new(),
-            admitted: 0,
-        };
-        // Units admitted through `admit` and not yet retired.
-        let mut pending: Vec<(u64, u64)> = Vec::new();
-        let mut clock = 0u64;
-        let (mut pops, mut admits) = (0u64, 0u64);
-        let mut answers = [0u64; 2];
-        while admits < 12_500 {
-            clock += rng.below(300);
-            let lpn = rng.below(64);
-            match rng.below(8) {
-                0..=1 => {
-                    let want = reference.admit(clock, lpn);
-                    let got = buf.admit(SimTime::from_nanos(clock), lpn).as_nanos();
-                    assert_eq!(got, want, "seed {seed}: admit {admits}");
-                    pops += u64::from(want > clock);
-                    admits += 1;
-                    clock = want;
-                    pending.push((lpn, want));
-                }
-                2 => {
-                    let want = reference.admit(clock, lpn);
-                    let got = buf.admit_slot(SimTime::from_nanos(clock)).as_nanos();
-                    assert_eq!(got, want, "seed {seed}: admit_slot {admits}");
-                    pops += u64::from(want > clock);
-                    admits += 1;
-                    clock = want;
-                    let end = want + 1 + rng.below(100_000);
-                    reference.retire(lpn, end);
-                    buf.retire(lpn, SimTime::from_nanos(end));
-                }
-                3..=4 if !pending.is_empty() => {
-                    let (lpn, admitted_at) =
-                        pending.swap_remove(rng.below(pending.len() as u64) as usize);
-                    let end = admitted_at + 1 + rng.below(100_000);
-                    reference.retire(lpn, end);
-                    buf.retire(lpn, SimTime::from_nanos(end));
-                }
-                _ => {
-                    // Half the queries target a unit still awaiting retire.
-                    let lpn = if !pending.is_empty() && rng.chance(0.5) {
-                        pending[rng.below(pending.len() as u64) as usize].0
-                    } else {
-                        lpn
-                    };
-                    let at = (clock + rng.below(110_000)).saturating_sub(10_000);
-                    let want = reference.holds(lpn, at);
-                    assert_eq!(
-                        buf.holds(lpn, SimTime::from_nanos(at)),
-                        want,
-                        "seed {seed}: holds({lpn}, {at}) after {admits} admits"
-                    );
-                    answers[usize::from(want)] += 1;
-                }
+        check_write_buffer(seed, &mut rng, cap, 100_000, 12_500, |rng| rng.below(64));
+        let mut rng = SplitMix64::new(seed ^ 0x71DE);
+        let cap = 1 + rng.below(8192) as u32;
+        // Programs long enough that the buffer fills at any capacity.
+        let program_ns = u64::from(cap) * 2_000;
+        check_write_buffer(seed, &mut rng, cap, program_ns, 25_000, |rng| {
+            match rng.below(16) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.below(1 << 20),
+            }
+        });
+    }
+}
+
+/// Drives a `cap`-slot `WriteBuffer` and the reference through
+/// `admits_target` random admits, with programs of up to `program_ns`
+/// and lpns drawn from `lpn_of`.
+fn check_write_buffer(
+    seed: u64,
+    rng: &mut SplitMix64,
+    cap: u32,
+    program_ns: u64,
+    admits_target: u64,
+    lpn_of: impl Fn(&mut SplitMix64) -> u64,
+) {
+    let mut buf = WriteBuffer::new(cap);
+    let mut reference = RefWriteBuffer {
+        capacity: cap as usize,
+        releases: Vec::new(),
+        resident: std::collections::BTreeMap::new(),
+        admitted: 0,
+    };
+    // Units admitted through `admit` and not yet retired.
+    let mut pending: Vec<(u64, u64)> = Vec::new();
+    let mut clock = 0u64;
+    let (mut pops, mut admits) = (0u64, 0u64);
+    let mut answers = [0u64; 2];
+    while admits < admits_target {
+        clock += rng.below(300);
+        let lpn = lpn_of(rng);
+        match rng.below(8) {
+            0..=1 => {
+                let want = reference.admit(clock, lpn);
+                let got = buf.admit(SimTime::from_nanos(clock), lpn).as_nanos();
+                assert_eq!(got, want, "seed {seed}: admit {admits}");
+                pops += u64::from(want > clock);
+                admits += 1;
+                clock = want;
+                pending.push((lpn, want));
+            }
+            2 => {
+                let want = reference.admit(clock, lpn);
+                let got = buf.admit_slot(SimTime::from_nanos(clock)).as_nanos();
+                assert_eq!(got, want, "seed {seed}: admit_slot {admits}");
+                pops += u64::from(want > clock);
+                admits += 1;
+                clock = want;
+                let end = want + 1 + rng.below(program_ns);
+                reference.retire(lpn, end);
+                buf.retire(lpn, SimTime::from_nanos(end));
+            }
+            3..=4 if !pending.is_empty() => {
+                let (lpn, admitted_at) =
+                    pending.swap_remove(rng.below(pending.len() as u64) as usize);
+                let end = admitted_at + 1 + rng.below(program_ns);
+                reference.retire(lpn, end);
+                buf.retire(lpn, SimTime::from_nanos(end));
+            }
+            _ => {
+                // Half the queries target a unit still awaiting retire.
+                let lpn = if !pending.is_empty() && rng.chance(0.5) {
+                    pending[rng.below(pending.len() as u64) as usize].0
+                } else {
+                    lpn
+                };
+                let at = (clock + rng.below(program_ns + program_ns / 10))
+                    .saturating_sub(program_ns / 10);
+                let want = reference.holds(lpn, at);
+                assert_eq!(
+                    buf.holds(lpn, SimTime::from_nanos(at)),
+                    want,
+                    "seed {seed}: holds({lpn}, {at}) after {admits} admits (cap {cap})"
+                );
+                answers[usize::from(want)] += 1;
             }
         }
-        assert!(pops > 0, "seed {seed}: the buffer never filled");
-        assert!(answers.iter().all(|&n| n > 0), "seed {seed}: {answers:?}");
-        assert_eq!(buf.admitted(), reference.admitted);
-        assert_eq!(buf.in_flight(), reference.releases.len());
     }
+    assert!(pops > 0, "seed {seed}: the buffer never filled (cap {cap})");
+    assert!(answers.iter().all(|&n| n > 0), "seed {seed}: {answers:?}");
+    assert_eq!(buf.admitted(), reference.admitted);
+    assert_eq!(buf.in_flight(), reference.releases.len());
 }
 
 /// Request splitting always covers the byte range exactly, contiguously and
@@ -869,4 +903,164 @@ fn probe_accounting_tiles_exactly_under_faults() {
             "seed {seed}: fault lottery never fired — test is vacuous"
         );
     }
+}
+
+/// An extreme value for one `SsdConfig` field. Integer fields read `Nan`
+/// as half their range (a large power of two); booleans flip whatever the
+/// extreme.
+#[derive(Clone, Copy, Debug)]
+enum Extreme {
+    Zero,
+    One,
+    Max,
+    Nan,
+}
+
+impl Extreme {
+    const ALL: [Extreme; 4] = [Extreme::Zero, Extreme::One, Extreme::Max, Extreme::Nan];
+
+    fn u32(self) -> u32 {
+        match self {
+            Extreme::Zero => 0,
+            Extreme::One => 1,
+            Extreme::Max => u32::MAX,
+            Extreme::Nan => 1 << 31,
+        }
+    }
+
+    fn u64(self) -> u64 {
+        match self {
+            Extreme::Zero => 0,
+            Extreme::One => 1,
+            Extreme::Max => u64::MAX,
+            Extreme::Nan => 1 << 63,
+        }
+    }
+
+    fn f64(self) -> f64 {
+        match self {
+            Extreme::Zero => 0.0,
+            Extreme::One => 1.0,
+            Extreme::Max => f64::MAX,
+            Extreme::Nan => f64::NAN,
+        }
+    }
+
+    fn ns(self) -> SimDuration {
+        SimDuration::from_nanos(self.u64())
+    }
+}
+
+/// Number of fields [`perturb`] can set.
+const CONFIG_FIELDS: usize = 46;
+
+/// Sets field number `field` of `cfg`, nested ones included, to `x`.
+fn perturb(cfg: &mut SsdConfig, field: usize, x: Extreme) {
+    match field {
+        0 => cfg.channels = x.u32(),
+        1 => cfg.ways = x.u32(),
+        2 => cfg.super_channel = !cfg.super_channel,
+        3 => cfg.split_dma = !cfg.split_dma,
+        4 => cfg.suspend_resume = !cfg.suspend_resume,
+        5 => cfg.planes = x.u32(),
+        6 => cfg.channel_mbps = x.u32(),
+        7 => cfg.channel_setup = x.ns(),
+        8 => cfg.pcie_mbps = x.u32(),
+        9 => cfg.controller_read = x.ns(),
+        10 => cfg.controller_write = x.ns(),
+        11 => cfg.controller_per_op = x.ns(),
+        12 => cfg.capacity_bytes = x.u64(),
+        13 => {
+            cfg.pages_per_block_override = match x {
+                Extreme::Nan => None,
+                _ => Some(x.u32()),
+            }
+        }
+        14 => cfg.overprovision = x.f64(),
+        15 => cfg.write_buffer_units = x.u32(),
+        16 => cfg.row_flush_timeout = x.ns(),
+        17 => cfg.read_cache.seq_hit_prob = x.f64(),
+        18 => cfg.read_cache.rnd_hit_prob = x.f64(),
+        19 => cfg.read_cache.hit_latency = x.ns(),
+        20 => cfg.gc.low_watermark = x.u32(),
+        21 => cfg.gc.units_per_host_write = x.u32(),
+        22 => cfg.gc.parallel = !cfg.gc.parallel,
+        23 => cfg.wear.per_erase_prob = x.f64(),
+        24 => cfg.wear.remap_enabled = !cfg.wear.remap_enabled,
+        25 => cfg.wear.spares_per_lane = x.u32(),
+        26 => cfg.wear.seed = x.u64(),
+        27 => cfg.read_tail.probability = x.f64(),
+        28 => cfg.read_tail.delay = x.ns(),
+        29 => cfg.write_tail.probability = x.f64(),
+        30 => cfg.write_tail.delay = x.ns(),
+        31 => cfg.power.idle_w = x.f64(),
+        32 => cfg.power.host_read_nj = x.f64(),
+        33 => cfg.power.host_write_nj = x.f64(),
+        34 => cfg.power.gc_unit_nj = x.f64(),
+        35 => cfg.seed = x.u64(),
+        36 => cfg.flash.layers = x.u32(),
+        37 => cfg.flash.t_read = x.ns(),
+        38 => cfg.flash.t_prog = x.ns(),
+        39 => cfg.flash.t_erase = x.ns(),
+        40 => cfg.flash.page_size = x.u32(),
+        41 => cfg.flash.pages_per_block = x.u32(),
+        42 => cfg.flash.die_capacity_gbit = x.u32(),
+        43 => cfg.flash.program_suspend = !cfg.flash.program_suspend,
+        44 => cfg.flash.suspend_latency = x.ns(),
+        45 => cfg.flash.resume_latency = x.ns(),
+        _ => unreachable!("no config field {field}"),
+    }
+}
+
+/// Runs `Ssd::new` on `cfg` and, if it builds a device, one read and one
+/// write. `Err` if anything panicked, else whether a device was built.
+fn try_config(cfg: SsdConfig) -> std::thread::Result<bool> {
+    std::panic::catch_unwind(|| {
+        let Ok(mut ssd) = Ssd::new(cfg) else {
+            return false;
+        };
+        ssd.read(SimTime::ZERO, 0, 4096);
+        ssd.write(SimTime::ZERO, 0, 4096);
+        true
+    })
+}
+
+/// No `SsdConfig` panics the device: every preset field at 0, 1, its
+/// maximum and NaN, alone and in seeded combinations of two to four
+/// fields, makes `Ssd::new` return a `ConfigError` or a working device.
+#[test]
+fn ssd_config_extremes_never_panic() {
+    let presets = [presets::ull_800g(), presets::nvme750()];
+    let (mut panicked, mut built) = (Vec::new(), 0);
+    let mut run = |cfg, what: String| match try_config(cfg) {
+        Ok(ok) => built += usize::from(ok),
+        Err(_) => panicked.push(what),
+    };
+    for base in &presets {
+        for field in 0..CONFIG_FIELDS {
+            for x in Extreme::ALL {
+                let mut cfg = base.clone();
+                perturb(&mut cfg, field, x);
+                run(cfg, format!("{}: field {field} = {x:?}", base.name));
+            }
+        }
+    }
+    for seed in SEEDS {
+        let mut rng = SplitMix64::new(seed ^ 0xC0F1);
+        for _ in 0..32 {
+            let base = &presets[rng.below(2) as usize];
+            let mut cfg = base.clone();
+            let mut what = base.name.to_string();
+            for _ in 0..2 + rng.below(3) {
+                let field = rng.below(CONFIG_FIELDS as u64) as usize;
+                let x = Extreme::ALL[rng.below(4) as usize];
+                perturb(&mut cfg, field, x);
+                what += &format!(", field {field} = {x:?}");
+            }
+            run(cfg, format!("seed {seed}: {what}"));
+        }
+    }
+    assert!(panicked.is_empty(), "panicked on:\n{}", panicked.join("\n"));
+    // Most single-field extremes still describe a working device.
+    assert!(built > 200, "only {built} configurations built a device");
 }
