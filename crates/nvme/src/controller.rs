@@ -6,9 +6,12 @@
 //! makes their comparison apples-to-apples: only the host-side software
 //! differs.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use ull_faults::{FaultPlan, SALT_NVME};
 use ull_probe::DeviceSpan;
-use ull_simkit::{Component, Engine, Scheduler, SimDuration, SimTime, SplitMix64};
+use ull_simkit::{SimDuration, SimTime, SplitMix64};
 use ull_ssd::{DeviceCompletion, Ssd};
 
 use crate::command::{Completion, NvmeCommand, Opcode};
@@ -23,11 +26,13 @@ pub struct QueuePair {
     /// Controller-filled completion ring.
     pub cq: CompletionQueue,
     /// Completions computed by the backend but not yet visible to the host,
-    /// ordered by `(completion instant, cid)` — the engine wheel's keyed
-    /// tie-break reproduces the historical `BinaryHeap<Reverse<(u64, u16)>>`
-    /// order exactly (cids are unique among in-flight commands, so the
-    /// insertion-sequence tail of the wheel's ordering never decides).
-    pending: Engine<u16>,
+    /// as a min-heap of `(completion instant in ns, cid)`: delivery order
+    /// is completion time, ties broken by cid (cids are unique among
+    /// in-flight commands, so the order is total). A queue pair holds at
+    /// most queue-depth sparse completions, so a heap's O(log depth)
+    /// push and pop beat a timing wheel that steps over every empty slot
+    /// between them (`docs/PERFORMANCE.md`, "The completion timeline").
+    pending: BinaryHeap<Reverse<(u64, u16)>>,
 }
 
 impl QueuePair {
@@ -35,34 +40,7 @@ impl QueuePair {
         QueuePair {
             sq: SubmissionQueue::new(size),
             cq: CompletionQueue::new(size),
-            pending: Engine::new(),
-        }
-    }
-}
-
-/// The device-scheduler component: drains due completions from a queue
-/// pair's pending timeline into its CQ ring, one cid per event.
-///
-/// CQ backpressure is head-of-line: a completion that does not fit
-/// re-parks itself at the current instant under its cid key and halts
-/// the drain until the host consumes entries. The CQ cannot drain
-/// during a delivery, so every later cid of the same instant fails and
-/// re-parks the same way (cids are unique, so the keys restore the
-/// exact `(time, cid)` order).
-struct CqPump<'a> {
-    cq: &'a mut CompletionQueue,
-    /// SQ head to advertise in posted CQEs; the SQ does not move during
-    /// a delivery drain, so one read serves the whole drain.
-    sqhd: u16,
-}
-
-impl Component for CqPump<'_> {
-    type Event = u16;
-
-    fn on_event(&mut self, now: SimTime, cid: u16, sched: &mut Scheduler<'_, u16>) {
-        if self.cq.post(cid, self.sqhd, true).is_err() {
-            sched.at_keyed(now, u64::from(cid), cid);
-            sched.halt();
+            pending: BinaryHeap::new(),
         }
     }
 }
@@ -335,7 +313,7 @@ impl NvmeController {
         if !lost {
             self.qpairs[qid as usize]
                 .pending
-                .schedule_keyed(completion.done, u64::from(cid), cid);
+                .push(Reverse((completion.done.as_nanos(), cid)));
         }
     }
 
@@ -350,7 +328,7 @@ impl NvmeController {
     pub fn reset_queue(&mut self, qid: u16) -> Vec<u16> {
         let qp = &mut self.qpairs[qid as usize];
         let mut lost = Vec::new();
-        while let Some((_, cid)) = qp.pending.pop() {
+        while let Some(Reverse((_, cid))) = qp.pending.pop() {
             lost.push(cid);
         }
         qp.sq.reset();
@@ -368,7 +346,10 @@ impl NvmeController {
     /// Earliest instant at which a pending completion becomes visible on
     /// this queue (before MSI latency).
     pub fn next_completion_at(&self, qid: u16) -> Option<SimTime> {
-        self.qpairs[qid as usize].pending.earliest()
+        self.qpairs[qid as usize]
+            .pending
+            .peek()
+            .map(|&Reverse((t, _))| SimTime::from_nanos(t))
     }
 
     /// Earliest instant the host IRQ for this queue would fire.
@@ -376,15 +357,21 @@ impl NvmeController {
         self.next_completion_at(qid).map(|t| t + self.msi_latency)
     }
 
-    /// Materializes into the CQ every pending completion due by `at`.
-    /// Completions that do not fit (host lagging) stay pending.
+    /// Materializes into the CQ every pending completion due by `at`, in
+    /// `(time, cid)` order. CQ backpressure is head-of-line: the first
+    /// due completion that does not fit (host lagging) stops the drain
+    /// and stays pending with everything behind it.
     pub fn deliver_due(&mut self, qid: u16, at: SimTime) {
         let qp = &mut self.qpairs[qid as usize];
-        let mut pump = CqPump {
-            cq: &mut qp.cq,
-            sqhd: qp.sq.head(),
-        };
-        qp.pending.run_until(at, &mut pump);
+        // The SQ does not move during a drain, so one head read serves
+        // every CQE posted here.
+        let sqhd = qp.sq.head();
+        while let Some(&Reverse((t, cid))) = qp.pending.peek() {
+            if t > at.as_nanos() || qp.cq.post(cid, sqhd, true).is_err() {
+                return;
+            }
+            qp.pending.pop();
+        }
     }
 
     /// Host-side poll at instant `at`: delivers due completions and consumes
@@ -631,7 +618,7 @@ mod tests {
         assert_eq!(burst, 5, "{expected:?}");
 
         // Delivering the burst instant posts two flushes behind the write
-        // and re-parks the other three at that same instant.
+        // and leaves the other three pending at that same instant.
         c.deliver_due(0, burst_at);
         assert_eq!(c.next_completion_at(0), Some(burst_at));
         let mut seen = Vec::new();

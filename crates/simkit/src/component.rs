@@ -33,7 +33,7 @@
 //! }
 //!
 //! let mut engine = Engine::new();
-//! engine.schedule(SimTime::ZERO, ());
+//! engine.with_scheduler(SimTime::ZERO, |sched| sched.at(SimTime::ZERO, ()));
 //! let mut t = Ticker { ticks: 0 };
 //! engine.run(&mut t);
 //! assert_eq!(t.ticks, 5);
@@ -121,9 +121,8 @@ impl<E> Scheduler<'_, E> {
     }
 
     /// Schedules `ev` on this actor's own timeline at `at`, breaking
-    /// same-instant ties by the caller-supplied `key` (the NVMe device
-    /// scheduler keys by command id; trace replay keys submissions
-    /// below completions).
+    /// same-instant ties by the caller-supplied `key` (trace replay keys
+    /// submissions below completions).
     pub fn at_keyed(&mut self, at: SimTime, key: u64, ev: E) {
         self.sink.local(at, Some(key), ev);
     }
@@ -143,11 +142,9 @@ impl<E> Scheduler<'_, E> {
         }
     }
 
-    /// Stops the driving engine after the current dispatch returns.
-    ///
-    /// The device scheduler uses this for completion-queue
-    /// backpressure: a full CQ must block *all* later completions
-    /// (head-of-line), not just skip the one that failed to post.
+    /// Stops the driving engine once the current instant's batch has
+    /// been dispatched; every later event stays pending for the next
+    /// run (or the next window of a sharded world).
     pub fn halt(&mut self) {
         *self.halted = true;
     }
@@ -210,17 +207,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Schedules an event from outside any dispatch (FIFO tie-break).
-    pub fn schedule(&mut self, at: SimTime, ev: E) {
-        self.wheel.schedule(at, ev);
-    }
-
-    /// Schedules an event from outside any dispatch with a caller
-    /// tie-break key.
-    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, ev: E) {
-        self.wheel.schedule_keyed(at, key, ev);
-    }
-
     /// Runs `f` with a [`Scheduler`] pinned to instant `now` — the
     /// priming hook: closed-loop components issue their initial
     /// submissions through the same handle they use during dispatch.
@@ -246,44 +232,19 @@ impl<E> Engine<E> {
     pub fn run(&mut self, c: &mut impl Component<Event = E>) {
         self.halted = false;
         while !self.halted {
-            let mut batch = core::mem::take(&mut self.batch);
-            let Some(t) = self.wheel.pop_same_instant(&mut batch) else {
-                self.batch = batch;
+            let Some(t) = self.wheel.pop_same_instant(&mut self.batch) else {
                 return;
             };
-            self.dispatch(t, &mut batch, c);
-            self.batch = batch;
-        }
-    }
-
-    /// Like [`run`](Self::run), but only dispatches instants at or
-    /// before `bound` — the device scheduler's "deliver everything due
-    /// by now" drain. Events beyond `bound` stay pending.
-    pub fn run_until(&mut self, bound: SimTime, c: &mut impl Component<Event = E>) {
-        self.halted = false;
-        while !self.halted {
-            let mut batch = core::mem::take(&mut self.batch);
-            let Some(t) = self.wheel.pop_same_instant_until(bound, &mut batch) else {
-                self.batch = batch;
-                return;
+            let mut sched = Scheduler {
+                now: t,
+                me: ActorId(0),
+                floor: SimDuration::ZERO,
+                halted: &mut self.halted,
+                sink: &mut self.wheel,
             };
-            self.dispatch(t, &mut batch, c);
-            self.batch = batch;
-        }
-    }
-
-    /// Dispatches one popped same-instant batch through `c` in order,
-    /// leaving `batch` empty.
-    fn dispatch(&mut self, t: SimTime, batch: &mut Vec<E>, c: &mut impl Component<Event = E>) {
-        let mut sched = Scheduler {
-            now: t,
-            me: ActorId(0),
-            floor: SimDuration::ZERO,
-            halted: &mut self.halted,
-            sink: &mut self.wheel,
-        };
-        for ev in batch.drain(..) {
-            c.on_event(t, ev, &mut sched);
+            for ev in self.batch.drain(..) {
+                c.on_event(t, ev, &mut sched);
+            }
         }
     }
 
@@ -308,27 +269,6 @@ impl<E> Engine<E> {
             };
             c.on_event(t, ev, &mut sched);
         }
-    }
-
-    /// Removes and returns the earliest pending event (reset paths).
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.wheel.pop()
-    }
-
-    /// The earliest pending firing time, without advancing the wheel
-    /// (`&self`; O(slots) scan).
-    pub fn earliest(&self) -> Option<SimTime> {
-        self.wheel.earliest()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
     }
 }
 
@@ -360,63 +300,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_drains_in_time_then_fifo_order() {
-        let mut e = Engine::new();
-        e.schedule(SimTime::from_nanos(20), 1);
-        e.schedule(SimTime::from_nanos(10), 2);
-        e.schedule(SimTime::from_nanos(10), 3);
-        let mut c = Collector {
+    fn collector(emit_at_now: Option<(u64, u32)>) -> Collector {
+        Collector {
             seen: Vec::new(),
-            emit_at_now: None,
-        };
-        e.run(&mut c);
-        assert_eq!(c.seen, vec![(10, 2), (10, 3), (20, 1)]);
-        assert!(e.is_empty());
+            emit_at_now,
+        }
     }
 
     #[test]
-    fn run_until_leaves_later_events_pending() {
+    fn run_drains_in_time_then_fifo_order() {
         let mut e = Engine::new();
-        e.schedule(SimTime::from_nanos(5), 1);
-        e.schedule(SimTime::from_nanos(50), 2);
-        let mut c = Collector {
-            seen: Vec::new(),
-            emit_at_now: None,
-        };
-        e.run_until(SimTime::from_nanos(10), &mut c);
-        assert_eq!(c.seen, vec![(5, 1)]);
-        assert_eq!(e.len(), 1);
-        assert_eq!(e.earliest(), Some(SimTime::from_nanos(50)));
+        e.with_scheduler(SimTime::ZERO, |sched| {
+            sched.at(SimTime::from_nanos(20), 1);
+            sched.at(SimTime::from_nanos(10), 2);
+            sched.at(SimTime::from_nanos(10), 3);
+        });
+        let mut c = collector(None);
+        e.run(&mut c);
+        assert_eq!(c.seen, vec![(10, 2), (10, 3), (20, 1)]);
+    }
+
+    /// Pending at t=10: keys 1 and 3; the dispatch of key 1 emits a
+    /// key-2 event at t=10.
+    fn keyed_pair() -> Engine<u32> {
+        let mut e = Engine::new();
+        e.with_scheduler(SimTime::ZERO, |sched| {
+            sched.at_keyed(SimTime::from_nanos(10), 1, 100);
+            sched.at_keyed(SimTime::from_nanos(10), 3, 300);
+        });
+        e
     }
 
     #[test]
     fn stepped_mode_interleaves_current_instant_emissions_by_key() {
-        // Pending at t=10: keys 1 and 3. The dispatch of key 1 emits a
-        // key-2 event at t=10; stepped mode must pop it before key 3.
-        let mut e = Engine::new();
-        e.schedule_keyed(SimTime::from_nanos(10), 1, 100);
-        e.schedule_keyed(SimTime::from_nanos(10), 3, 300);
-        let mut c = Collector {
-            seen: Vec::new(),
-            emit_at_now: Some((2, 200)),
-        };
-        e.run_stepped(&mut c);
+        // Stepped mode must pop the key-2 emission before key 3.
+        let mut c = collector(Some((2, 200)));
+        keyed_pair().run_stepped(&mut c);
         assert_eq!(c.seen, vec![(10, 100), (10, 200), (10, 300)]);
     }
 
     #[test]
     fn run_dispatches_current_instant_emissions_after_the_batch() {
-        // Same setup as the stepped test: `run` pops keys 1 and 3 as one
-        // closed batch, so the key-2 emission waits until after key 3.
-        let mut e = Engine::new();
-        e.schedule_keyed(SimTime::from_nanos(10), 1, 100);
-        e.schedule_keyed(SimTime::from_nanos(10), 3, 300);
-        let mut c = Collector {
-            seen: Vec::new(),
-            emit_at_now: Some((2, 200)),
-        };
-        e.run(&mut c);
+        // `run` pops keys 1 and 3 as one closed batch, so the key-2
+        // emission waits until after key 3.
+        let mut c = collector(Some((2, 200)));
+        keyed_pair().run(&mut c);
         assert_eq!(c.seen, vec![(10, 100), (10, 300), (10, 200)]);
     }
 
@@ -435,15 +363,18 @@ mod tests {
     #[test]
     fn halt_stops_the_drain_and_run_resumes() {
         let mut e = Engine::new();
-        for i in 0..4u64 {
-            e.schedule(SimTime::from_nanos(10 * (i + 1)), i as u32);
-        }
+        e.with_scheduler(SimTime::ZERO, |sched| {
+            for i in 0..4u64 {
+                sched.at(SimTime::from_nanos(10 * (i + 1)), i as u32);
+            }
+        });
         let mut c = HaltAfter(2);
         e.run(&mut c);
-        assert_eq!(e.len(), 2, "halt leaves the tail pending");
-        let mut c2 = HaltAfter(u32::MAX);
+        assert_eq!(c.0, 0);
+        // The resumed drain sees exactly the two events the halt left.
+        let mut c2 = HaltAfter(3);
         e.run(&mut c2);
-        assert!(e.is_empty());
+        assert_eq!(c2.0, 1, "halt leaves the tail pending");
     }
 
     #[test]
@@ -456,10 +387,7 @@ mod tests {
             sched.at(SimTime::from_nanos(7), 1u32);
             sched.send(ActorId(0), SimTime::from_nanos(3), 2u32);
         });
-        let mut c = Collector {
-            seen: Vec::new(),
-            emit_at_now: None,
-        };
+        let mut c = collector(None);
         e.run(&mut c);
         assert_eq!(c.seen, vec![(3, 2), (7, 1)]);
     }

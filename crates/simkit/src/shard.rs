@@ -394,7 +394,13 @@ impl<C: Component> ShardedWorld<C> {
         let floor = self.lookahead.duration();
         let n_shards = self.shards.len() as u32;
         loop {
-            let horizon = self.shards.iter().filter_map(|s| s.wheel.earliest()).min();
+            // `peek_time` only settles the cursor the window's first pop
+            // would settle anyway, so it cannot change pop order.
+            let horizon = self
+                .shards
+                .iter_mut()
+                .filter_map(|s| s.wheel.peek_time())
+                .min();
             let Some(t) = horizon else { break };
             let bound = t + floor;
             runner.run(&mut self.shards, |_, shard| {

@@ -90,9 +90,9 @@ impl<E> Ord for Entry<E> {
 /// Drop-in hot-path replacement for [`EventQueue`](crate::EventQueue):
 /// [`schedule`](Self::schedule)/[`pop`](Self::pop) pop in ascending
 /// time with FIFO ties. [`schedule_keyed`](Self::schedule_keyed)
-/// additionally lets the caller supply the tie-break key (the NVMe
-/// device scheduler breaks same-instant ties by command id, not by
-/// insertion order).
+/// additionally lets the caller supply the tie-break key (the sharded
+/// world breaks same-instant ties by its `(actor, seq)` merge key, not
+/// by insertion order).
 ///
 /// # Examples
 ///
@@ -161,7 +161,7 @@ impl<E> TimingWheel<E> {
     /// Schedules `payload` to fire at instant `at`, breaking time ties
     /// by the caller-supplied `key` (and by insertion order only among
     /// equal keys). Lets the wheel replace queues whose tie-break is a
-    /// domain value such as an NVMe command id.
+    /// domain value such as a sharded world's `(actor, seq)` merge key.
     #[inline]
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, payload: E) {
         self.insert(at.as_nanos(), key, payload);
@@ -322,8 +322,8 @@ impl<E> TimingWheel<E> {
     /// Like [`pop_same_instant`](Self::pop_same_instant), but only
     /// drains if the earliest instant is at or before `bound`; events
     /// beyond it stay pending and `None` is returned. Saves the
-    /// bounded engine drain (`run_until`) a separate `peek_time` —
-    /// and therefore a second settle — per dispatched instant.
+    /// sharded window drain a separate `peek_time` — and therefore a
+    /// second settle — per dispatched instant.
     pub fn pop_same_instant_until(&mut self, bound: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         self.drain_instant(bound.as_nanos(), out)
     }
@@ -367,24 +367,6 @@ impl<E> TimingWheel<E> {
         self.near -= popped;
         self.len -= popped;
         Some(SimTime::from_nanos(t))
-    }
-
-    /// The earliest pending firing time without advancing the wheel.
-    ///
-    /// Cold-path companion to [`peek_time`](Self::peek_time) for
-    /// callers holding only `&self`; scans the near slots (O(`SLOTS`))
-    /// instead of moving the cursor.
-    pub fn earliest(&self) -> Option<SimTime> {
-        if let Some(e) = self.past.peek() {
-            return Some(SimTime::from_nanos(e.at));
-        }
-        let near = self.slots.iter().flat_map(|s| s.iter().map(|e| e.at)).min();
-        let far = self.far.peek().map(|e| e.at);
-        match (near, far) {
-            (Some(n), Some(f)) => Some(SimTime::from_nanos(n.min(f))),
-            (Some(n), None) => Some(SimTime::from_nanos(n)),
-            (None, f) => f.map(SimTime::from_nanos),
-        }
     }
 
     /// Number of pending events.
@@ -458,12 +440,10 @@ mod tests {
         w.schedule(SimTime::from_nanos(3), ());
         w.schedule(SimTime::from_nanos(1), ());
         assert_eq!(w.peek_time(), Some(SimTime::from_nanos(1)));
-        assert_eq!(w.earliest(), Some(SimTime::from_nanos(1)));
         assert_eq!(w.len(), 2);
         assert!(!w.is_empty());
         w.pop();
         assert_eq!(w.peek_time(), Some(SimTime::from_nanos(3)));
-        assert_eq!(w.earliest(), Some(SimTime::from_nanos(3)));
     }
 
     #[test]

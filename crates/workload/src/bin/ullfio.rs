@@ -111,11 +111,40 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
+    // Reject what the job builder and address stream would assert on.
+    let capacity = args.device.capacity_bytes;
+    if args.bs == 0 || !args.bs.is_multiple_of(4096) || u64::from(args.bs) > capacity {
+        eprintln!("ullfio: --bs must be a positive multiple of 4096 no larger than the device ({capacity} bytes)");
+        usage();
+    }
+    if args.iodepth == 0 {
+        eprintln!("ullfio: --iodepth must be at least 1");
+        usage();
+    }
+    if JobSpec::parse_rw(&args.rw).is_none() {
+        eprintln!("ullfio: unknown --rw mode {:?}", args.rw);
+        usage();
+    }
     // The SPDK engine implies the SPDK path and vice versa.
     if args.engine == Engine::SpdkPlugin {
         args.path = IoPath::Spdk;
     } else if args.path == IoPath::Spdk {
         args.engine = Engine::SpdkPlugin;
+    }
+    // Each I/O splits into `MAX_TRANSFER`-sized commands that hold one
+    // driver tag each until they complete; the host has `TAGS` of them.
+    let in_flight = match args.engine {
+        Engine::Pvsync2 => 1,
+        Engine::Libaio | Engine::SpdkPlugin => u64::from(args.iodepth).min(args.ios),
+    };
+    let commands = in_flight * u64::from(args.bs.div_ceil(Host::MAX_TRANSFER));
+    if args.replay.is_none() && commands > u64::from(Host::TAGS) {
+        eprintln!(
+            "ullfio: --iodepth × --bs needs {commands} NVMe commands in flight; the host has {} tags of {} bytes",
+            Host::TAGS,
+            Host::MAX_TRANSFER
+        );
+        usage();
     }
     args
 }

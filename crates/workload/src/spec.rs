@@ -161,6 +161,19 @@ impl JobSpec {
         self
     }
 
+    /// The pattern and read fraction of a fio-style `rw` mode string, or
+    /// `None` for an unknown mode (see [`rw`](Self::rw)).
+    pub fn parse_rw(mode: &str) -> Option<(Pattern, f64)> {
+        match mode {
+            "seqread" | "read" => Some((Pattern::Sequential, 1.0)),
+            "randread" => Some((Pattern::Random, 1.0)),
+            "seqwrite" | "write" => Some((Pattern::Sequential, 0.0)),
+            "randwrite" => Some((Pattern::Random, 0.0)),
+            "randrw" => Some((Pattern::Random, 0.5)),
+            _ => None,
+        }
+    }
+
     /// fio-style shorthand: `"seqread"`, `"randread"`, `"seqwrite"`,
     /// `"randwrite"`, `"randrw"`.
     ///
@@ -168,13 +181,8 @@ impl JobSpec {
     ///
     /// Panics on an unknown mode string.
     pub fn rw(mut self, mode: &str) -> Self {
-        let (pattern, frac) = match mode {
-            "seqread" | "read" => (Pattern::Sequential, 1.0),
-            "randread" => (Pattern::Random, 1.0),
-            "seqwrite" | "write" => (Pattern::Sequential, 0.0),
-            "randwrite" => (Pattern::Random, 0.0),
-            "randrw" => (Pattern::Random, 0.5),
-            other => panic!("unknown rw mode {other:?}"),
+        let Some((pattern, frac)) = Self::parse_rw(mode) else {
+            panic!("unknown rw mode {mode:?}");
         };
         self.pattern = pattern;
         self.read_fraction = frac;
