@@ -1,7 +1,7 @@
 //! The experiment registry: every table/figure reproduction, runnable by
 //! name.
 //!
-//! `reproduce`, `ull-bench` and the integration tests all drive the same
+//! `reproduce`, `perfbench` and the integration tests all drive the same
 //! [`entries`] table, so "which figures exist and what are they called"
 //! is defined exactly once. Names follow `EXPERIMENTS.md` (`table1`,
 //! `fig4`, ..., `extensions`); figures that share a run are reachable

@@ -38,8 +38,8 @@ impl Device {
 /// How much work each experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced I/O counts: seconds per experiment; used by tests and
-    /// Criterion benches.
+    /// Reduced I/O counts: seconds per experiment; used by tests,
+    /// `reproduce` without `--full` and `perfbench`.
     Quick,
     /// Paper-scale I/O counts (five-nines-capable).
     Full,

@@ -93,7 +93,6 @@ pub struct Scheduler<'a, E> {
     pub(crate) now: SimTime,
     pub(crate) me: ActorId,
     pub(crate) floor: SimDuration,
-    pub(crate) halted: &'a mut bool,
     pub(crate) sink: &'a mut dyn EventSink<E>,
 }
 
@@ -141,13 +140,6 @@ impl<E> Scheduler<'_, E> {
             self.sink.remote(dst, eff, ev);
         }
     }
-
-    /// Stops the driving engine once the current instant's batch has
-    /// been dispatched; every later event stays pending for the next
-    /// run (or the next window of a sharded world).
-    pub fn halt(&mut self) {
-        *self.halted = true;
-    }
 }
 
 impl<E> core::fmt::Debug for Scheduler<'_, E> {
@@ -188,7 +180,6 @@ pub trait Component {
 pub struct Engine<E> {
     wheel: TimingWheel<E>,
     batch: Vec<E>,
-    halted: bool,
 }
 
 impl<E> Default for Engine<E> {
@@ -203,7 +194,6 @@ impl<E> Engine<E> {
         Engine {
             wheel: TimingWheel::new(),
             batch: Vec::new(),
-            halted: false,
         }
     }
 
@@ -219,27 +209,19 @@ impl<E> Engine<E> {
             now,
             me: ActorId(0),
             floor: SimDuration::ZERO,
-            halted: &mut self.halted,
             sink: &mut self.wheel,
         };
         f(&mut sched)
     }
 
     /// Drains every pending event through `c`, one closed batch per
-    /// instant, until the wheel is empty or the component
-    /// [`halt`](Scheduler::halt)s. A halt takes effect once the current
-    /// instant's batch has been dispatched.
+    /// instant, until the wheel is empty.
     pub fn run(&mut self, c: &mut impl Component<Event = E>) {
-        self.halted = false;
-        while !self.halted {
-            let Some(t) = self.wheel.pop_same_instant(&mut self.batch) else {
-                return;
-            };
+        while let Some(t) = self.wheel.pop_same_instant(&mut self.batch) {
             let mut sched = Scheduler {
                 now: t,
                 me: ActorId(0),
                 floor: SimDuration::ZERO,
-                halted: &mut self.halted,
                 sink: &mut self.wheel,
             };
             for ev in self.batch.drain(..) {
@@ -249,22 +231,16 @@ impl<E> Engine<E> {
     }
 
     /// Drains events strictly one at a time through
-    /// [`Component::on_event`] until the wheel is empty or the
-    /// component halts. An event the component emits at the current
-    /// instant with a lower key than a still-pending same-instant event
-    /// is dispatched first — exactly the wheel semantics the open-coded
-    /// trace-replay loop relied on.
+    /// [`Component::on_event`] until the wheel is empty. An event the
+    /// component emits at the current instant with a lower key than a
+    /// still-pending same-instant event is dispatched first — exactly
+    /// the wheel semantics the open-coded trace-replay loop relied on.
     pub fn run_stepped(&mut self, c: &mut impl Component<Event = E>) {
-        self.halted = false;
-        while !self.halted {
-            let Some((t, ev)) = self.wheel.pop() else {
-                return;
-            };
+        while let Some((t, ev)) = self.wheel.pop() {
             let mut sched = Scheduler {
                 now: t,
                 me: ActorId(0),
                 floor: SimDuration::ZERO,
-                halted: &mut self.halted,
                 sink: &mut self.wheel,
             };
             c.on_event(t, ev, &mut sched);
@@ -276,7 +252,6 @@ impl<E> core::fmt::Debug for Engine<E> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Engine")
             .field("pending", &self.wheel.len())
-            .field("halted", &self.halted)
             .finish()
     }
 }
@@ -346,35 +321,6 @@ mod tests {
         let mut c = collector(Some((2, 200)));
         keyed_pair().run(&mut c);
         assert_eq!(c.seen, vec![(10, 100), (10, 300), (10, 200)]);
-    }
-
-    struct HaltAfter(u32);
-
-    impl Component for HaltAfter {
-        type Event = u32;
-        fn on_event(&mut self, _now: SimTime, _ev: u32, sched: &mut Scheduler<'_, u32>) {
-            self.0 -= 1;
-            if self.0 == 0 {
-                sched.halt();
-            }
-        }
-    }
-
-    #[test]
-    fn halt_stops_the_drain_and_run_resumes() {
-        let mut e = Engine::new();
-        e.with_scheduler(SimTime::ZERO, |sched| {
-            for i in 0..4u64 {
-                sched.at(SimTime::from_nanos(10 * (i + 1)), i as u32);
-            }
-        });
-        let mut c = HaltAfter(2);
-        e.run(&mut c);
-        assert_eq!(c.0, 0);
-        // The resumed drain sees exactly the two events the halt left.
-        let mut c2 = HaltAfter(3);
-        e.run(&mut c2);
-        assert_eq!(c2.0, 1, "halt leaves the tail pending");
     }
 
     #[test]

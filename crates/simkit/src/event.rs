@@ -1,9 +1,10 @@
 //! A deterministic time-ordered event queue.
 //!
-//! [`EventQueue`] is the scheduling heart used by closed-loop workload
-//! engines: events fire in non-decreasing time order, and events scheduled
-//! for the same instant fire in insertion order (FIFO), which keeps whole
-//! simulations reproducible bit-for-bit.
+//! [`EventQueue`] is the `BinaryHeap` reference for
+//! [`TimingWheel`](crate::TimingWheel): no engine drives it, but the wheel's
+//! tests compare their pop order against it. Events fire in
+//! non-decreasing time order, and events scheduled for the same instant
+//! fire in insertion order (FIFO).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

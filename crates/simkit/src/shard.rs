@@ -107,7 +107,6 @@ struct Shard<C: Component> {
     wheel: TimingWheel<ShardEvent<C::Event>>,
     outbox: Vec<ShardEvent<C::Event>>,
     batch: Vec<ShardEvent<C::Event>>,
-    halted: bool,
 }
 
 /// Routes a dispatching actor's emissions: own wheel for local (and
@@ -166,15 +165,12 @@ impl<E> EventSink<E> for ShardSink<'_, E> {
 impl<C: Component> Shard<C> {
     /// Drains every instant strictly before `bound`, dispatching each
     /// event to its resident actor through [`Component::on_event`].
-    /// Emissions flow through a [`ShardSink`]; a component
-    /// [`halt`](Scheduler::halt) stops this window after the current
-    /// instant (the remaining events stay pending for the next).
+    /// Emissions flow through a [`ShardSink`].
     fn drain_window(&mut self, bound: SimTime, floor: SimDuration, n_shards: u32) {
-        self.halted = false;
         // `bound` is exclusive and lookahead is >= 1 ns, so the
         // inclusive drain limit is one nanosecond short of it.
         let limit = SimTime::from_nanos(bound.as_nanos().saturating_sub(1));
-        while !self.halted {
+        loop {
             let mut batch = core::mem::take(&mut self.batch);
             let Some(t) = self.wheel.pop_same_instant_until(limit, &mut batch) else {
                 self.batch = batch;
@@ -204,7 +200,6 @@ impl<C: Component> Shard<C> {
                     now: t,
                     me: dst,
                     floor,
-                    halted: &mut self.halted,
                     sink: &mut sink,
                 };
                 slot.component.on_event(t, ev.payload, &mut sched);
@@ -316,7 +311,6 @@ impl<C: Component> ShardedWorld<C> {
                     wheel: TimingWheel::new(),
                     outbox: Vec::new(),
                     batch: Vec::new(),
-                    halted: false,
                 })
                 .collect(),
             lookahead,
@@ -360,12 +354,10 @@ impl<C: Component> ShardedWorld<C> {
             local_seq: &mut slot.local_seq,
             send_seq: &mut slot.send_seq,
         };
-        let mut halted = false;
         let mut sched = Scheduler {
             now: SimTime::ZERO,
             me: actor,
             floor: self.lookahead.duration(),
-            halted: &mut halted,
             sink: &mut sink,
         };
         f(&mut slot.component, &mut sched);

@@ -295,15 +295,6 @@ impl<E> TimingWheel<E> {
             .map(|e| (SimTime::from_nanos(e.at), &e.payload))
     }
 
-    /// Pops the earliest event only if it fires strictly before `t`.
-    pub fn pop_if_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? < t {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// Drains every event scheduled for the earliest pending instant
     /// into `out` (in tie-break order) and returns that instant —
     /// the batched same-instant drain used by engine loops to retire
@@ -474,7 +465,6 @@ mod tests {
     fn schedules_behind_the_cursor_still_fire_first() {
         let mut w = TimingWheel::new();
         w.schedule(SimTime::from_nanos(5000), "ahead");
-        assert_eq!(w.pop_if_before(SimTime::from_nanos(5000)), None);
         assert_eq!(w.peek_time(), Some(SimTime::from_nanos(5000)));
         // The cursor has advanced to 5000's slot; schedule behind it.
         w.schedule(SimTime::from_nanos(10), "past");
@@ -487,16 +477,13 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_before_and_same_instant_drain() {
+    fn pop_then_same_instant_drain() {
         let mut w = TimingWheel::new();
         w.schedule(SimTime::from_nanos(10), 'a');
         w.schedule(SimTime::from_nanos(10), 'b');
         w.schedule(SimTime::from_nanos(20), 'c');
-        assert_eq!(w.pop_if_before(SimTime::from_nanos(10)), None);
-        assert_eq!(
-            w.pop_if_before(SimTime::from_nanos(11)),
-            Some((SimTime::from_nanos(10), 'a'))
-        );
+        assert_eq!(w.peek_time(), Some(SimTime::from_nanos(10)));
+        assert_eq!(w.pop(), Some((SimTime::from_nanos(10), 'a')));
         let mut batch = Vec::new();
         assert_eq!(
             w.pop_same_instant(&mut batch),

@@ -13,9 +13,10 @@ use crate::source::{token_positions, DirectiveKind, SourceFile};
 use crate::symbols::{AdtKind, FileSymbols};
 
 /// Crates whose `src/` trees are simulation code: everything that feeds
-/// simulated time, ordering or randomness. `bench` is deliberately absent —
-/// it is the wall-clock *measurement* harness. `simlint` is absent from the
-/// purity scopes but still walked for S000/S003. `exec` is
+/// simulated time, ordering or randomness. `simlint` is absent from the
+/// purity scopes but still walked for S000/S003; a crate under `crates/`
+/// that is in no list (a wall-clock measurement harness, say) gets the
+/// same treatment. `exec` is
 /// simulation-adjacent: it must stay free of wall clocks, ambient RNG and
 /// float time (S001, S002, S004, S007), but it is the one sanctioned
 /// host-parallel driver, so the threading ban (S005) and the shared-state

@@ -116,8 +116,8 @@ pub struct SsdConfig {
     /// channel count.
     pub super_channel: bool,
     /// Split each 4 KB host unit across the pair with the split-DMA engine.
-    /// Only meaningful with `super_channel`; separate so the ablation bench
-    /// can isolate it.
+    /// Only meaningful with `super_channel`; separate so it can be switched
+    /// off on its own.
     pub split_dma: bool,
     /// Allow reads to suspend in-flight programs (§II-A3); requires flash
     /// with `program_suspend`.

@@ -10,9 +10,8 @@
 //! byte-identical at any shard count because the gossip link has a
 //! latency floor that becomes the world's lookahead (`docs/SHARDING.md`).
 //!
-//! This is also the perf harness's scaling workload: `bench`'s shard
-//! curve runs one fleet at `--shards {1,2,4}` and reports aggregate
-//! events/s.
+//! This is also `perfbench`'s `fleet_2shard` workload, which times one
+//! fleet on two shards window by window.
 
 use ull_nvme::NvmeController;
 use ull_simkit::{

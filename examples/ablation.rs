@@ -1,8 +1,11 @@
-//! Ablation benches for the design choices DESIGN.md §5 calls out: the
-//! mechanisms the paper credits for ULL behaviour are switched off one at
-//! a time and the affected metric is reported.
-
-use std::hint::black_box;
+//! Design-choice ablations (DESIGN.md §5): the mechanisms the paper
+//! credits for ULL behaviour are switched off one at a time and the
+//! affected simulated latency is printed. The values are simulated, so
+//! the table is the same on every run and every machine.
+//!
+//! ```sh
+//! cargo run --release --example ablation
+//! ```
 
 use ull_nvme::NvmeController;
 use ull_ssd::{presets, GcPolicy, Ssd, SsdConfig};
@@ -62,7 +65,7 @@ fn hybrid_latency(sleep_fraction: f64) -> f64 {
     .as_micros_f64()
 }
 
-fn print_ablation_table() {
+fn main() {
     let base = presets::ull_800g();
 
     println!("\n===== ablation: ULL design mechanisms =====");
@@ -113,27 +116,4 @@ fn print_ablation_table() {
         hybrid_latency(0.5),
         hybrid_latency(0.75)
     );
-}
-
-fn main() {
-    print_ablation_table();
-    let mut g = ull_bench::BenchGroup::new("ablation");
-    g.sample_size(10);
-    g.bench_function("ull_baseline_rnd_read", |b| {
-        b.iter(|| black_box(read_latency(presets::ull_800g())))
-    });
-    g.bench_function("ull_no_suspend_mixed", |b| {
-        b.iter(|| {
-            let cfg = presets::ull_800g()
-                .builder()
-                .suspend_resume(false)
-                .build()
-                .unwrap();
-            black_box(mixed_read_latency(cfg))
-        })
-    });
-    g.bench_function("hybrid_sleep_quarter", |b| {
-        b.iter(|| black_box(hybrid_latency(0.25)))
-    });
-    g.finish();
 }

@@ -199,3 +199,65 @@ fn experiments_doc_has_no_phantom_entries() {
         );
     }
 }
+
+/// `BENCH_perf.json` is the committed `perfbench` record that perf
+/// claims cite: one full `reproduce_quick` run (`perfbench/run.py
+/// --workload reproduce_quick --seconds 30 --trace 0 --out ...`) whose
+/// output checks all passed and which carries every end-to-end metric
+/// `BENCHMARK.json` gates, so `perfbench/compare.py` can read it.
+#[test]
+fn bench_perf_json_is_a_full_perfbench_record() {
+    // Compare whitespace-free text, so the checks depend on the record's
+    // keys and values and not on how the writer spaces them.
+    let compact = |rel: &str| -> String {
+        read_doc(rel)
+            .chars()
+            .filter(|c| !c.is_whitespace())
+            .collect()
+    };
+    let record = compact("BENCH_perf.json");
+    let (fingerprint, result) = record
+        .strip_prefix("{\"fingerprint\":{")
+        .and_then(|rest| rest.split_once("},\"result\":{"))
+        .expect("BENCH_perf.json must be {\"fingerprint\": {...}, \"result\": {...}}");
+    for field in [
+        "\"workload\":\"reproduce_quick\",",
+        "\"seconds\":30,",
+        "\"trace\":0,",
+    ] {
+        assert!(
+            fingerprint.contains(field),
+            "BENCH_perf.json fingerprint lacks {field} (regenerate it with \
+             `python3 perfbench/run.py --workload reproduce_quick --seed 0 \
+             --seconds 30 --trace 0 --out BENCH_perf.json`)"
+        );
+    }
+    for field in ["\"correct\":true,", "\"failed\":0,"] {
+        assert!(
+            result.contains(field),
+            "BENCH_perf.json result lacks {field}"
+        );
+    }
+
+    let bench = compact("BENCHMARK.json");
+    let end_to_end = bench
+        .split_once("\"end_to_end\":[")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .expect("BENCHMARK.json must list its end_to_end metrics")
+        .0;
+    let names: Vec<&str> = end_to_end
+        .split("\"name\":\"")
+        .skip(1)
+        .filter_map(|s| s.split_once('"').map(|(name, _)| name))
+        .collect();
+    assert!(
+        !names.is_empty(),
+        "BENCHMARK.json lists no end_to_end metric"
+    );
+    for name in names {
+        assert!(
+            result.contains(&format!("\"{name}\":{{\"value\":")),
+            "BENCH_perf.json result lacks end-to-end metric {name}"
+        );
+    }
+}

@@ -7,9 +7,9 @@
 //! request path, report-assembly refactors) that perturbs even one byte
 //! of a deterministic artifact fails tier-1 *before* a PR reaches CI.
 //!
-//! Wall-clock numbers live in `BENCH_perf.json`, which is deliberately
-//! *not* covered here — it is machine-dependent by design (see
-//! docs/PERFORMANCE.md).
+//! Wall-clock numbers live in `BENCH_perf.json`, a `perfbench` record,
+//! which is deliberately *not* byte-diffed here — it is machine-dependent
+//! by design (see docs/PERFORMANCE.md).
 
 use ull_ssd_study::study::registry::{default_entries, find, json_document, Section};
 use ull_ssd_study::study::Scale;

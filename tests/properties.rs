@@ -248,10 +248,10 @@ fn timing_wheel_far_future_promotion_preserves_order() {
     }
 }
 
-/// `pop_if_before` and `pop_same_instant` agree with the plain pop-loop
-/// semantics the engine loops rely on: `pop_if_before(t)` yields exactly
-/// the events strictly before `t`, and `pop_same_instant` drains exactly
-/// one instant's FIFO batch.
+/// A `peek_time`-guarded `pop` and `pop_same_instant` agree with the
+/// plain pop-loop semantics the engine loops rely on: popping while
+/// `peek_time() < t` yields exactly the events strictly before `t`, and
+/// `pop_same_instant` drains exactly one instant's FIFO batch.
 #[test]
 fn timing_wheel_conditional_pops_match_reference() {
     for seed in SEEDS {
@@ -264,8 +264,9 @@ fn timing_wheel_conditional_pops_match_reference() {
             reference.schedule(t, id);
         }
         let cutoff = SimTime::from_nanos(32);
-        // Drain [0, cutoff) via pop_if_before.
-        while let Some((t, id)) = wheel.pop_if_before(cutoff) {
+        // Drain [0, cutoff) via peek_time-guarded pops.
+        while wheel.peek_time().is_some_and(|t| t < cutoff) {
+            let (t, id) = wheel.pop().expect("peek_time saw a pending event");
             assert!(t < cutoff, "seed {seed}: popped event at/after cutoff");
             assert_eq!(Some((t, id)), reference.pop(), "seed {seed}");
         }
